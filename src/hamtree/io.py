@@ -39,6 +39,7 @@ __all__ = [
 DESCRIPTOR_MAGIC = b"HBSTD001"
 TREE_MAGIC = b"HBT1"
 TREE_VERSION = 1
+_U32_END = 1 << 32
 
 
 class FormatError(ValueError):
@@ -55,6 +56,19 @@ def _record_dtype(nbytes: int) -> np.dtype:
             ("payload", "u1", (nbytes,)),
         ]
     )
+
+
+def _check_ids(entry: DescriptorEntry) -> None:
+    """Both id fields are stored as u32; anything else is a ValueError."""
+    if 0 <= entry.image_id < _U32_END and 0 <= entry.keypoint_id < _U32_END:
+        return
+    for name in ("image_id", "keypoint_id"):
+        value = getattr(entry, name)
+        if not 0 <= value < _U32_END:
+            raise ValueError(
+                f"{name} {value} of entry ({entry.image_id}, {entry.keypoint_id}) "
+                f"is outside the u32 range [0, 2**32)"
+            )
 
 
 def _check_file_width(dim_bits: int) -> int:
@@ -82,6 +96,7 @@ def write_descriptor_file(
                 f"entry {i} has a {desc.shape[0] * 8}-bit descriptor, "
                 f"file is declared {dim_bits}-bit"
             )
+        _check_ids(entry)
         records[i] = (
             entry.image_id,
             entry.keypoint_id,
@@ -147,6 +162,7 @@ def serialize_tree(tree: HammingTree) -> bytes:
                 desc = np.asarray(entry.descriptor, dtype=np.uint8)
                 if desc.shape[0] != nbytes:
                     raise ValueError("leaf entry width does not match tree dim_bits")
+                _check_ids(entry)
                 out += struct.pack(
                     "<IIff",
                     entry.image_id,
@@ -215,11 +231,11 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
         if tag != 0:
             raise FormatError(f"unknown node tag {tag}")
         (count,) = cursor.take("<I")
-        leaf = LeafNode(dim_bits)
+        entries = []
         for _ in range(count):
             image_id, keypoint_id, x, y = cursor.take("<IIff")
             payload = cursor.take_bytes(nbytes)
-            leaf.append(
+            entries.append(
                 DescriptorEntry(
                     descriptor=np.frombuffer(payload, dtype=np.uint8).copy(),
                     image_id=image_id,
@@ -227,7 +243,7 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
                     keypoint_xy=(x, y),
                 )
             )
-        return leaf
+        return LeafNode(dim_bits, entries)
 
     # The stream is preorder, so each internal node is followed by its left
     # subtree, then its right; a pending-slot stack reproduces that without

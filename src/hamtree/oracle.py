@@ -233,6 +233,10 @@ def depth_completeness(
     )
     n_q = q_matrix.shape[0]
     tau_max = max(taus)
+    feasible = {
+        tau: np.array([sets[qi][tau].size for qi in range(n_q)], dtype=np.int64)
+        for tau in taus
+    }
 
     measured: dict[int, dict[int, float]] = {tau: {} for tau in taus}
     for h in depths:
@@ -247,24 +251,17 @@ def depth_completeness(
                 n_max=1, max_depth=h,
             )
         tree = HammingTree.build_balanced(refs, config, dim_bits)
-        sums = {tau: 0.0 for tau in taus}
-        for qi, query in enumerate(queries):
-            found = tree.search_all(query, min(tau_max, dim_bits))
-            found_dists = np.array([m.distance for m in found], dtype=np.int64)
-            for tau in taus:
-                feasible = sets[qi][tau]
-                n_found = int((found_dists <= tau).sum())
-                if n_found > feasible.size:
-                    raise ValueError(
-                        "tree search returned more matches than the "
-                        f"brute-force feasible set at tau={tau}"
-                    )
-                if feasible.size == 0:
-                    sums[tau] += 1.0
-                else:
-                    sums[tau] += n_found / feasible.size
+        hits = tree.search_all_batch(q_matrix, min(tau_max, dim_bits))
         for tau in taus:
-            measured[tau][h] = sums[tau] / n_q
+            n_found = np.bincount(hits.query[hits.distance <= tau], minlength=n_q)
+            if np.any(n_found > feasible[tau]):
+                raise ValueError(
+                    "tree search returned more matches than the "
+                    f"brute-force feasible set at tau={tau}"
+                )
+            ratio = np.ones(n_q)
+            np.divide(n_found, feasible[tau], out=ratio, where=feasible[tau] > 0)
+            measured[tau][h] = float(ratio.mean())
 
     reports = []
     for tau in taus:

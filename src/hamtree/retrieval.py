@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .descriptor import DescriptorEntry
+import numpy as np
+
+from .descriptor import DescriptorEntry, stack_descriptors
 from .tree import HammingTree, MatchRecord
 
 __all__ = ["ImageScore", "RetrievalConfig", "query_image", "retrieve_best", "retrieve_above"]
@@ -61,9 +63,14 @@ def query_image(
 
     For each query entry the reached leaf is scanned for all records within
     tau; among records of the same stored image only the closest one becomes
-    that image's vote from this keypoint. Results are sorted by descending
-    score, ties broken by smaller image_id. The query entries must all belong
-    to one image, and the tree is expected not to contain that image.
+    that image's vote from this keypoint, the earliest-inserted among equally
+    close ones. Results are sorted by descending score, ties broken by
+    smaller image_id. The query entries must all belong to one image, and the
+    tree is expected not to contain that image.
+
+    All queries are answered by one batched leaf scan and the votes counted
+    over the hit arrays, so the cost per keypoint is its descent plus a share
+    of a few vectorized passes.
     """
     if config is None:
         config = RetrievalConfig()
@@ -73,29 +80,34 @@ def query_image(
         return []
     if len({e.image_id for e in query_entries}) != 1:
         raise ValueError("query entries span several images")
-    votes: dict[int, int] = {}
-    matches: dict[int, list[MatchRecord]] = {}
-    for entry in query_entries:
-        records = tree.search_all(entry, config.tau)
-        best_per_image: dict[int, MatchRecord] = {}
-        for record in records:
-            image = record.reference.image_id
-            current = best_per_image.get(image)
-            if current is None or record.distance < current.distance:
-                best_per_image[image] = record
-        for image, record in best_per_image.items():
-            votes[image] = votes.get(image, 0) + 1
-            if collect_matches:
-                matches.setdefault(image, []).append(record)
+    hits = tree.search_all_batch(stack_descriptors(query_entries), config.tau)
+    images, image_code = np.unique(hits.image_id, return_inverse=True)
+    # A vote is a distinct (query, image) pair among the hits.
+    pair = hits.query * len(images) + image_code
+    if collect_matches:
+        # The vote's record is the pair's closest hit, the earliest-inserted
+        # (smallest leaf position) among equally close ones.
+        order = np.lexsort((hits.position, hits.distance, pair))
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = pair[order[1:]] != pair[order[:-1]]
+        voted = order[first]
+    else:
+        voted = np.unique(pair, return_index=True)[1]
+    votes = np.bincount(image_code[voted], minlength=len(images))
+    matches: list[list[MatchRecord]] = [[] for _ in range(len(images))]
+    if collect_matches:
+        # ``voted`` runs in query order, so each image's list does too.
+        for q, i, d, k in zip(
+            hits.query[voted].tolist(), hits.position[voted].tolist(),
+            hits.distance[voted].tolist(), image_code[voted].tolist(),
+        ):
+            matches[k].append(MatchRecord(
+                query=query_entries[q], reference=hits.leaves[q].entries[i], distance=d
+            ))
     n_query = len(query_entries)
     scores = [
-        ImageScore(
-            image_id=image,
-            votes=count,
-            score=count / n_query,
-            matches=matches.get(image, []),
-        )
-        for image, count in votes.items()
+        ImageScore(image_id=image, votes=count, score=count / n_query, matches=found)
+        for image, count, found in zip(images.tolist(), votes.tolist(), matches)
     ]
     scores.sort(key=lambda s: (-s.score, s.image_id))
     return scores

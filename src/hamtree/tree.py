@@ -24,6 +24,7 @@ from .descriptor import (
     descriptor_nbytes,
     descriptor_to_int,
     _row_popcount,
+    stack_descriptors,
     unpack_bits,
 )
 
@@ -31,12 +32,19 @@ __all__ = [
     "TreeConfig",
     "InternalNode",
     "LeafNode",
+    "LeafHits",
     "MatchRecord",
     "SearchResult",
     "DepthStats",
     "select_split_bit",
     "HammingTree",
 ]
+
+# Cap on the descriptor bytes ``search_all_batch`` gathers into one block.
+# Queries are scanned in chunks whose reached-leaf rows stay under it (a
+# query whose leaf alone is larger is scanned on its own), so an oversize
+# leaf reached by many queries cannot blow up memory.
+_SCAN_CHUNK_BYTES = 1 << 23
 
 
 @dataclass(slots=True)
@@ -74,20 +82,29 @@ class TreeConfig:
 class LeafNode:
     """Leaf holding descriptor entries in insertion order.
 
-    Descriptors are mirrored into a growing packed matrix so a leaf scan is a
-    single vectorized distance computation, and per-bit set counts are kept
-    current so a split admissibility check costs O(dim_bits), not O(n).
+    Descriptors and image ids are mirrored into growing columns, so a leaf
+    scan is a single vectorized distance computation and a batched scan can
+    gather many leaves at once. Per-bit set counts are not kept; they are
+    computed from the rows when asked for, which happens only when a split is
+    considered.
     """
 
-    __slots__ = ("entries", "_packed", "_bit_counts", "_dim_bits")
+    __slots__ = ("entries", "_packed", "_image_ids", "_dim_bits")
 
     def __init__(self, dim_bits: int, entries: Sequence[DescriptorEntry] = ()):
-        self.entries: list[DescriptorEntry] = []
+        self.entries: list[DescriptorEntry] = list(entries)
         self._dim_bits = dim_bits
-        self._packed = np.empty((8, descriptor_nbytes(dim_bits)), dtype=np.uint8)
-        self._bit_counts = np.zeros(dim_bits, dtype=np.int64)
-        for entry in entries:
-            self.append(entry)
+        nbytes = descriptor_nbytes(dim_bits)
+        if self.entries:
+            self._packed = stack_descriptors(self.entries)
+            if self._packed.shape[1:] != (nbytes,):
+                raise ValueError(
+                    f"leaf entries have {self._packed.shape[1:]} bytes per "
+                    f"descriptor, expected {nbytes}"
+                )
+        else:
+            self._packed = np.empty((0, nbytes), dtype=np.uint8)
+        self._image_ids = np.array([e.image_id for e in self.entries], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -95,19 +112,39 @@ class LeafNode:
     def append(self, entry: DescriptorEntry) -> None:
         n = len(self.entries)
         if n == self._packed.shape[0]:
-            grown = np.empty((2 * n, self._packed.shape[1]), dtype=np.uint8)
-            grown[:n] = self._packed
-            self._packed = grown
+            capacity = max(8, 2 * n)
+            self._packed = _grown(self._packed, capacity)
+            self._image_ids = _grown(self._image_ids, capacity)
         self._packed[n] = entry.descriptor
-        self._bit_counts += unpack_bits(entry.descriptor, self._dim_bits)
+        self._image_ids[n] = entry.image_id
         self.entries.append(entry)
 
     def packed(self) -> np.ndarray:
         """View of the stored descriptors as a (len, W) matrix."""
         return self._packed[: len(self.entries)]
 
+    def image_ids(self) -> np.ndarray:
+        """View of the stored entries' image ids, in insertion order."""
+        return self._image_ids[: len(self.entries)]
+
     def statistics(self) -> BitStatistics:
-        return BitStatistics(counts=self._bit_counts.copy(), total=len(self.entries))
+        bits = unpack_bits(self.packed(), self._dim_bits)
+        return BitStatistics(counts=bits.sum(axis=0, dtype=np.int64), total=len(self))
+
+    def _subset(self, mask: np.ndarray) -> "LeafNode":
+        """A new leaf holding the rows where ``mask`` is True, in order."""
+        leaf = LeafNode.__new__(LeafNode)
+        leaf._dim_bits = self._dim_bits
+        leaf.entries = [self.entries[i] for i in np.flatnonzero(mask).tolist()]
+        leaf._packed = self.packed()[mask]
+        leaf._image_ids = self.image_ids()[mask]
+        return leaf
+
+
+def _grown(column: np.ndarray, capacity: int) -> np.ndarray:
+    out = np.empty((capacity,) + column.shape[1:], dtype=column.dtype)
+    out[: column.shape[0]] = column
+    return out
 
 
 class InternalNode:
@@ -146,6 +183,23 @@ class SearchResult:
     best: MatchRecord | None
     leaf_scanned: int
     depth_traversed: int
+
+
+@dataclass(slots=True)
+class LeafHits:
+    """Leaf-scan hits of a query batch, as parallel arrays.
+
+    Hit ``i`` is row ``position[i]`` of ``leaves[query[i]]``, the leaf that
+    query row ``query[i]`` reached, at Hamming distance ``distance[i]``;
+    ``image_id[i]`` is that entry's image id. Hits are ordered by query, then
+    by insertion order within the leaf, as ``search_all`` returns them.
+    """
+
+    query: np.ndarray
+    position: np.ndarray
+    image_id: np.ndarray
+    distance: np.ndarray
+    leaves: list[LeafNode]
 
 
 @dataclass(slots=True)
@@ -278,17 +332,22 @@ class HammingTree:
     # Search
     # ------------------------------------------------------------------
 
-    def _descend(self, descriptor: np.ndarray) -> tuple[LeafNode, int, set[int]]:
-        """Greedy traversal; returns the reached leaf, depth, and path bits."""
-        key = descriptor_to_int(descriptor)
+    def _descend(
+        self, key: int, path: list[InternalNode] | None = None
+    ) -> tuple[LeafNode, int]:
+        """Greedy traversal of the descriptor ``key`` (``descriptor_to_int``).
+
+        Returns the reached leaf and its depth; when ``path`` is given, the
+        internal nodes passed are appended to it, root first.
+        """
         node = self.root
         depth = 0
-        path_bits: set[int] = set()
         while isinstance(node, InternalNode):
-            path_bits.add(node.bit_index)
+            if path is not None:
+                path.append(node)
             node = node.right if (key >> node.bit_index) & 1 else node.left
             depth += 1
-        return node, depth, path_bits
+        return node, depth
 
     def _check_width(self, descriptor: np.ndarray) -> None:
         nbytes = descriptor_nbytes(self.dim_bits)
@@ -311,7 +370,7 @@ class HammingTree:
         self._check_width(query.descriptor)
         if tau is None:
             tau = self.config.tau
-        leaf, depth, _ = self._descend(query.descriptor)
+        leaf, depth = self._descend(descriptor_to_int(query.descriptor))
         n = len(leaf)
         if n == 0:
             return SearchResult(best=None, leaf_scanned=0, depth_traversed=depth)
@@ -334,17 +393,57 @@ class HammingTree:
         scan at the same tau would return.
         """
         self._check_width(query.descriptor)
+        hits = self.search_all_batch(np.asarray(query.descriptor)[None, :], tau)
+        entries = hits.leaves[0].entries
+        return [
+            MatchRecord(query=query, reference=entries[i], distance=d)
+            for i, d in zip(hits.position.tolist(), hits.distance.tolist())
+        ]
+
+    def search_all_batch(self, queries: np.ndarray, tau: int | None = None) -> LeafHits:
+        """``search_all`` for every row of an (n, W) packed query matrix.
+
+        Each row descends to its leaf; the reached leaves' rows are gathered
+        into one block and compared with one XOR and popcount. The gathered
+        block is bounded by ``_SCAN_CHUNK_BYTES``: queries are processed in
+        consecutive chunks that stay under it.
+        """
+        queries = np.ascontiguousarray(queries, dtype=np.uint8)
+        nbytes = descriptor_nbytes(self.dim_bits)
+        if queries.ndim != 2 or queries.shape[1] != nbytes:
+            raise ValueError(
+                f"query matrix has shape {queries.shape}, tree expects (n, {nbytes})"
+            )
         if tau is None:
             tau = self.config.tau
-        leaf, _, _ = self._descend(query.descriptor)
-        if len(leaf) == 0:
-            return []
-        dists = _row_popcount(np.bitwise_xor(leaf.packed(), query.descriptor))
-        hits = np.nonzero(dists <= tau)[0]
-        return [
-            MatchRecord(query=query, reference=leaf.entries[i], distance=int(dists[i]))
-            for i in hits
+        raw = queries.tobytes()
+        leaves = [
+            self._descend(int.from_bytes(raw[o : o + nbytes], "little"))[0]
+            for o in range(0, len(raw), nbytes)
         ]
+        sizes = np.array([len(leaf) for leaf in leaves], dtype=np.int64)
+        # Query q's candidates are rows starts[q]:ends[q] of the whole gather.
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        cap_rows = max(1, _SCAN_CHUNK_BYTES // nbytes)
+        empty = np.empty(0, dtype=np.int64)
+        parts = [(empty, empty, empty, np.empty(0, dtype=np.int32))]
+        lo = 0
+        while lo < len(leaves):
+            # The longest run of queries from ``lo`` whose rows fit the cap.
+            hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + cap_rows, "right")))
+            chunk = leaves[lo:hi]
+            rows = np.concatenate([leaf.packed() for leaf in chunk])
+            np.bitwise_xor(rows, np.repeat(queries[lo:hi], sizes[lo:hi], axis=0), out=rows)
+            dist = _row_popcount(rows)
+            hit = np.flatnonzero(dist <= tau)
+            if hit.size:
+                row = hit + starts[lo]
+                query = np.searchsorted(ends, row, "right")
+                image_ids = np.concatenate([leaf.image_ids() for leaf in chunk])
+                parts.append((query, row - starts[query], image_ids[hit], dist[hit]))
+            lo = hi
+        return LeafHits(*(np.concatenate(cols) for cols in zip(*parts)), leaves=leaves)
 
     # ------------------------------------------------------------------
     # Insertion
@@ -359,48 +458,29 @@ class HammingTree:
         rebalancing is ever performed.
         """
         self._check_width(entry.descriptor)
-        key = descriptor_to_int(entry.descriptor)
-        parent: InternalNode | None = None
-        went_right = False
-        node = self.root
-        depth = 0
-        path_bits: set[int] = set()
-        while isinstance(node, InternalNode):
-            path_bits.add(node.bit_index)
-            parent = node
-            went_right = bool((key >> node.bit_index) & 1)
-            node = node.right if went_right else node.left
-            depth += 1
-        node.append(entry)
+        path: list[InternalNode] = []
+        leaf, _ = self._descend(descriptor_to_int(entry.descriptor), path)
+        leaf.append(entry)
         self.count += 1
-        self._maybe_split(node, parent, went_right, depth, path_bits)
+        self._maybe_split(leaf, path)
 
-    def _maybe_split(
-        self,
-        leaf: LeafNode,
-        parent: InternalNode | None,
-        went_right: bool,
-        depth: int,
-        path_bits: set[int],
-    ) -> None:
+    def _maybe_split(self, leaf: LeafNode, path: list[InternalNode]) -> None:
         cfg = self.config
-        if len(leaf) <= cfg.n_max or depth >= cfg.depth_limit(self.dim_bits):
+        if len(leaf) <= cfg.n_max or len(path) >= cfg.depth_limit(self.dim_bits):
             return
-        bit = select_split_bit(leaf.statistics(), path_bits, cfg.delta_max)
+        bits = unpack_bits(leaf.packed(), self.dim_bits)
+        stats = BitStatistics(counts=bits.sum(axis=0, dtype=np.int64), total=len(leaf))
+        bit = select_split_bit(stats, {node.bit_index for node in path}, cfg.delta_max)
         if bit is None:
             return
-        column = unpack_bits(leaf.packed(), self.dim_bits)[:, bit]
-        left = LeafNode(self.dim_bits)
-        right = LeafNode(self.dim_bits)
-        for value, entry in zip(column, leaf.entries):
-            (right if value else left).append(entry)
-        node = InternalNode(bit, left, right)
-        if parent is None:
+        right = bits[:, bit] == 1
+        node = InternalNode(bit, leaf._subset(~right), leaf._subset(right))
+        if not path:
             self.root = node
-        elif went_right:
-            parent.right = node
+        elif path[-1].right is leaf:
+            path[-1].right = node
         else:
-            parent.left = node
+            path[-1].left = node
 
     def search_and_insert(
         self, entries: Sequence[DescriptorEntry], tau: int | None = None

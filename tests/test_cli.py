@@ -65,6 +65,23 @@ def test_gen_usage_errors_exit_one(tmp_path):
     assert run("gen", "--images", 2, "--loop", "garbage", "--output", tmp_path / "x.hbd") == 1
 
 
+def test_gen_out_of_range_id_exits_without_traceback(tmp_path, capsys, monkeypatch):
+    import hamtree.cli
+    from hamtree import generate_sequence
+
+    def overflowing(spec):
+        images, truth = generate_sequence(spec)
+        images[-1][-1].keypoint_id = 2**32
+        return images, truth
+
+    monkeypatch.setattr(hamtree.cli, "generate_sequence", overflowing)
+    code = run("gen", "--images", 2, "--descriptors-per-image", 3,
+               "--output", tmp_path / "x.hbd")
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert "keypoint_id" in err and "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # match
 # ----------------------------------------------------------------------

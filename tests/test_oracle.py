@@ -241,6 +241,43 @@ def test_depth_completeness_report_shape_and_identities():
             assert deep <= shallow + 0.02
 
 
+def test_depth_completeness_matches_per_query_loop():
+    # Independent route: the same balanced trees, searched one query at a
+    # time and scored against brute force. Only the summation order differs.
+    queries, refs = make_noisy_duplicate_corpus(3, 120, 64, max_flips=12, seed=21)
+    taus, depths = [4, 10], [0, 1, 3, 6]
+    reports = depth_completeness(queries, refs, taus, depths, 64)
+    for h in depths:
+        config = (TreeConfig(tau=10, delta_max=0.5, n_max=len(refs)) if h == 0
+                  else TreeConfig(tau=10, delta_max=0.5, n_max=1, max_depth=h))
+        tree = HammingTree.build_balanced(refs, config, 64)
+        for report in reports:
+            values = [
+                completeness_single(tree.search_all(query, report.tau),
+                                    brute_force_all(query, refs, report.tau))
+                for query in queries
+            ]
+            assert report.per_depth_measured[h] == pytest.approx(
+                float(np.mean(values)), abs=1e-12
+            )
+
+
+def test_depth_completeness_rejects_tree_finding_more_than_brute_force(monkeypatch):
+    queries, refs = make_noisy_duplicate_corpus(1, 40, 64, max_flips=4, seed=22)
+    real = HammingTree.search_all_batch
+
+    def doubled(self, matrix, tau=None):
+        hits = real(self, matrix, tau)
+        for name in ("query", "position", "image_id", "distance"):
+            column = getattr(hits, name)
+            setattr(hits, name, np.concatenate([column, column]))
+        return hits
+
+    monkeypatch.setattr(HammingTree, "search_all_batch", doubled)
+    with pytest.raises(ValueError, match="more matches"):
+        depth_completeness(queries, refs, [4], [1], 64)
+
+
 def test_depth_completeness_predicted_power_example():
     # predicted completeness at depth 2 for a mean single-level value of 0.9
     assert 0.9**2 == pytest.approx(0.81)

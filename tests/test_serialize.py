@@ -140,3 +140,25 @@ def test_descriptor_file_count_mismatch(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 4)
     with pytest.raises(FormatError):
         read_descriptor_file(path)
+
+
+@pytest.mark.parametrize("field", ["image_id", "keypoint_id"])
+@pytest.mark.parametrize("value", [-1, 2**32])
+def test_serialize_out_of_range_id_raises_value_error(field, value):
+    rng = np.random.default_rng(87)
+    tree = HammingTree(256, TreeConfig(n_max=3))
+    for entry in make_entries(random_descriptors(6, 256, rng)):
+        tree.insert(entry)
+    setattr(tree.leaf_entries()[4], field, value)
+    with pytest.raises(ValueError, match=field):
+        serialize_tree(tree)
+
+
+@pytest.mark.parametrize("field", ["image_id", "keypoint_id"])
+@pytest.mark.parametrize("value", [-1, 2**32])
+def test_write_descriptor_file_out_of_range_id_raises_value_error(tmp_path, field, value):
+    rng = np.random.default_rng(88)
+    entries = make_entries(random_descriptors(3, 256, rng))
+    setattr(entries[1], field, value)
+    with pytest.raises(ValueError, match=field):
+        write_descriptor_file(tmp_path / "ids.hbd", entries, 256)
