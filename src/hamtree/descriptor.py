@@ -11,6 +11,18 @@ final byte kept at zero; the binary file formats require a multiple of 8.
 All distance kernels are numpy-vectorized. On numpy >= 2.0 the hardware
 popcount (``np.bitwise_count``) is used over a uint64 view; older numpy falls
 back to a per-byte lookup table.
+
+Many-to-many distances (``pairwise_hamming``, the brute-force protocol and
+the completeness sweeps' feasible sets) use a word-major kernel. The byte
+width is zero-padded to whole uint64 words (padding bits are zero on both
+sides, so they never count) and the references are laid out as a
+``(words, N)`` matrix, one contiguous row per word. For each word the kernel
+XORs a block of queries against that row into a preallocated ``(block, N)``
+buffer, popcounts that into a uint8 buffer, and adds it into the int32
+distance block. Blocks are sized
+to stay cache-resident and never exceed the caller's byte cap, so no
+temporary grows with the number of queries. Without ``np.bitwise_count``
+the word popcount is an exact SWAR bit count.
 """
 
 from __future__ import annotations
@@ -40,6 +52,19 @@ __all__ = [
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+# Upper bound on the word kernel's per-block buffers (XOR words, their
+# counts, the int32 distances), and the smaller working set it aims for so
+# each block's passes run from cache: on a 2-vCPU x86-64 host, 256-bit
+# descriptors against 2e3 to 1e5 references ran at 5-7 ns per pair with
+# 0.5-1 MiB blocks and 11-14 ns with 64 MiB blocks.
+_MAX_CHUNK_BYTES = 1 << 26
+_BLOCK_TARGET_BYTES = 1 << 20
+_BLOCK_BYTES_PER_PAIR = 8 + 1 + 4
+_SWAR_M1 = np.uint64(0x5555555555555555)
+_SWAR_M2 = np.uint64(0x3333333333333333)
+_SWAR_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_SWAR_H01 = np.uint64(0x0101010101010101)
 
 
 def descriptor_nbytes(dim_bits: int) -> int:
@@ -105,26 +130,98 @@ def hamming_distances(query: np.ndarray, refs: np.ndarray) -> np.ndarray:
     return _row_popcount(np.bitwise_xor(refs, query))
 
 
+def _to_words(matrix: np.ndarray) -> np.ndarray:
+    """(N, W) packed bytes as (N, ceil(W / 8)) uint64 words, zero-padded."""
+    matrix = np.asarray(matrix, dtype=np.uint8)
+    n, w = matrix.shape
+    words = -(-w // 8)
+    if w == 8 * words and matrix.flags.c_contiguous:
+        return matrix.view(np.uint64)
+    padded = np.zeros((n, 8 * words), dtype=np.uint8)
+    padded[:, :w] = matrix
+    return padded.view(np.uint64)
+
+
+def _word_columns(matrix: np.ndarray) -> np.ndarray:
+    """(N, W) packed bytes as the word-major (words, N) uint64 reference layout."""
+    return np.ascontiguousarray(_to_words(matrix).T)
+
+
+def _popcount64(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-element popcount of a uint64 array into the uint8 ``out``.
+
+    The SWAR fallback overwrites ``words``, which the kernel only uses as
+    scratch, and allocates one temporary of the same size.
+    """
+    if _HAS_BITWISE_COUNT:
+        return np.bitwise_count(words, out=out)
+    tmp = np.right_shift(words, np.uint64(1))
+    tmp &= _SWAR_M1
+    words -= tmp
+    np.right_shift(words, np.uint64(2), out=tmp)
+    tmp &= _SWAR_M2
+    words &= _SWAR_M2
+    words += tmp
+    np.right_shift(words, np.uint64(4), out=tmp)
+    words += tmp
+    words &= _SWAR_M4
+    words *= _SWAR_H01
+    words >>= np.uint64(56)
+    np.copyto(out, words, casting="unsafe")
+    return out
+
+
+def _distance_blocks(
+    query_words: np.ndarray, columns: np.ndarray, max_chunk_bytes: int | None = None
+):
+    """Yield ``(start, dist)`` over consecutive blocks of queries.
+
+    ``query_words`` is ``(n_q, words)`` from ``_to_words`` and ``columns`` the
+    ``(words, N)`` references from ``_word_columns`` (any view whose rows are
+    contiguous). ``dist[i, j]`` is the int32 distance from query
+    ``start + i`` to reference ``j``; one buffer is reused, so a block is
+    valid only until the next is produced. The buffers stay under
+    ``max_chunk_bytes`` (by default ``_MAX_CHUNK_BYTES``), or hold one query
+    row where a row alone is larger.
+    """
+    if max_chunk_bytes is None:
+        max_chunk_bytes = _MAX_CHUNK_BYTES
+    n_q, n_words = query_words.shape
+    if columns.shape[0] != n_words:
+        raise ValueError(f"width mismatch: {n_words} vs {columns.shape[0]} words")
+    n_r = columns.shape[1]
+    per_row = max(1, n_r * _BLOCK_BYTES_PER_PAIR)
+    rows = max(1, min(n_q, min(max_chunk_bytes, _BLOCK_TARGET_BYTES) // per_row))
+    xor = np.empty((rows, n_r), dtype=np.uint64)
+    count = np.empty((rows, n_r), dtype=np.uint8)
+    block = np.zeros((rows, n_r), dtype=np.int32)
+    for start in range(0, n_q, rows):
+        b = min(rows, n_q - start)
+        for k in range(n_words):
+            np.bitwise_xor(query_words[start : start + b, k, None], columns[k], out=xor[:b])
+            _popcount64(xor[:b], count[:b])
+            if k == 0:
+                np.copyto(block[:b], count[:b])
+            else:
+                np.add(block[:b], count[:b], out=block[:b])
+        yield start, block[:b]
+
+
 def pairwise_hamming(
     queries: np.ndarray, refs: np.ndarray, max_chunk_bytes: int = 1 << 26
 ) -> np.ndarray:
     """Full (N_q, N_r) Hamming distance matrix between two packed matrices.
 
-    The broadcast XOR is evaluated in query blocks so the temporary stays
-    under ``max_chunk_bytes``.
+    Computed by the word-major kernel (see the module docstring) in query
+    blocks whose temporaries stay under ``max_chunk_bytes``.
     """
-    queries = np.ascontiguousarray(queries, dtype=np.uint8)
-    refs = np.ascontiguousarray(refs, dtype=np.uint8)
+    queries = np.asarray(queries, dtype=np.uint8)
+    refs = np.asarray(refs, dtype=np.uint8)
     if queries.shape[1] != refs.shape[1]:
         raise ValueError(f"width mismatch: {queries.shape[1]} vs {refs.shape[1]} bytes")
-    n_q, w = queries.shape
-    n_r = refs.shape[0]
-    out = np.empty((n_q, n_r), dtype=np.int32)
-    block = max(1, int(max_chunk_bytes // max(1, n_r * w)))
-    for start in range(0, n_q, block):
-        stop = min(start + block, n_q)
-        xored = np.bitwise_xor(queries[start:stop, None, :], refs[None, :, :])
-        out[start:stop] = _row_popcount(xored)
+    out = np.empty((queries.shape[0], refs.shape[0]), dtype=np.int32)
+    for start, dist in _distance_blocks(_to_words(queries), _word_columns(refs), max_chunk_bytes):
+        out[start : start + dist.shape[0]] = dist
     return out
 
 

@@ -24,6 +24,8 @@ import numpy as np
 
 from .descriptor import (
     DescriptorEntry,
+    _distance_blocks,
+    _to_words,
     pairwise_hamming,
     stack_descriptors,
 )
@@ -236,6 +238,13 @@ def run_protocol_brute_force(
     database image the single closest record (ties to the earliest insertion)
     votes when it is within tau. This is the accuracy ceiling the tree
     approximates, at a per-image cost that grows with the database.
+
+    The stored corpus is one word-major ``(words, capacity)`` buffer that
+    doubles when full, so appending an image costs amortized O(its size).
+    An image's queries are matched in blocks from the word kernel, whose
+    buffers stay under ``descriptor._MAX_CHUNK_BYTES``, and each block is
+    reduced to per-image minima at once, so no temporary grows with queries
+    times corpus.
     """
     if retrieval_config is None:
         retrieval_config = RetrievalConfig()
@@ -244,57 +253,99 @@ def run_protocol_brute_force(
     all_entries: list[DescriptorEntry] = []
     segment_starts: list[int] = []
     segment_image_ids: list[int] = []
-    stored: np.ndarray | None = None
+    nbytes: int | None = None
+    columns: np.ndarray | None = None
     scores: list[list[ImageScore]] = []
     seconds: list[float] = []
     for image_id, entries in enumerate(images):
         start = time.perf_counter()
-        if stored is None or not entries:
-            scores.append([])
-        else:
-            q_matrix = stack_descriptors(entries)
-            dists = pairwise_hamming(q_matrix, stored)
-            # Encode (distance, reference index) into one int64 so a single
-            # minimum.reduceat yields the per-image argmin with first-index
-            # tie-breaking.
-            ref_index = np.arange(stored.shape[0], dtype=np.int64)
-            encoded = (dists.astype(np.int64) << 32) | ref_index
-            per_image = np.minimum.reduceat(encoded, segment_starts, axis=1)
-            min_dist = per_image >> 32
-            argmin = per_image & 0xFFFFFFFF
-            voted = min_dist <= retrieval_config.tau
-            votes = voted.sum(axis=0)
-            n_query = len(entries)
-            image_scores = []
-            for segment in np.nonzero(votes)[0]:
-                matches: list[MatchRecord] = []
-                if collect_matches:
-                    for qi in np.nonzero(voted[:, segment])[0]:
-                        matches.append(
-                            MatchRecord(
-                                query=entries[qi],
-                                reference=all_entries[int(argmin[qi, segment])],
-                                distance=int(min_dist[qi, segment]),
-                            )
-                        )
-                image_scores.append(
-                    ImageScore(
-                        image_id=segment_image_ids[segment],
-                        votes=int(votes[segment]),
-                        score=int(votes[segment]) / n_query,
-                        matches=matches,
-                    )
-                )
-            image_scores.sort(key=lambda s: (-s.score, s.image_id))
-            scores.append(image_scores)
+        image_scores: list[ImageScore] = []
         if entries:
-            segment_starts.append(len(all_entries))
+            q_matrix = stack_descriptors(entries)
+            if nbytes is None:
+                nbytes = q_matrix.shape[1]
+            elif q_matrix.shape[1] != nbytes:
+                raise ValueError(f"width mismatch: {q_matrix.shape[1]} vs {nbytes} bytes")
+            q_words = _to_words(q_matrix)
+            n_stored = len(all_entries)
+            if n_stored:
+                image_scores = _brute_force_scores(
+                    entries, q_words, columns[:, :n_stored], segment_starts,
+                    segment_image_ids, all_entries, retrieval_config.tau, collect_matches,
+                )
+            columns = _append_columns(columns, n_stored, q_words)
+            segment_starts.append(n_stored)
             segment_image_ids.append(image_id)
             all_entries.extend(entries)
-            block = stack_descriptors(entries)
-            stored = block if stored is None else np.vstack([stored, block])
+        scores.append(image_scores)
         seconds.append(time.perf_counter() - start)
     return ProtocolResult(scores=scores, seconds=seconds)
+
+
+def _append_columns(columns: np.ndarray | None, n_stored: int, words: np.ndarray) -> np.ndarray:
+    """Store ``(n, words)`` rows as columns ``n_stored..`` of the word-major store.
+
+    A full store is replaced by one of twice the capacity, so appending costs
+    amortized O(n). Returns the (possibly new) ``(words, capacity)`` store.
+    """
+    needed = n_stored + words.shape[0]
+    if columns is None or needed > columns.shape[1]:
+        capacity = needed if columns is None else max(2 * columns.shape[1], needed)
+        grown = np.empty((words.shape[1], capacity), dtype=np.uint64)
+        if columns is not None:
+            grown[:, :n_stored] = columns[:, :n_stored]
+        columns = grown
+    columns[:, n_stored:needed] = words.T
+    return columns
+
+
+def _brute_force_scores(
+    entries: Sequence[DescriptorEntry],
+    q_words: np.ndarray,
+    columns: np.ndarray,
+    segment_starts: list[int],
+    segment_image_ids: list[int],
+    all_entries: list[DescriptorEntry],
+    tau: int,
+    collect_matches: bool,
+) -> list[ImageScore]:
+    """Ranked votes of one image's queries against every stored image.
+
+    Per (query, stored image) the segment minimum votes when within tau;
+    with ``collect_matches`` its record is the segment's first row at that
+    minimum, i.e. the earliest insertion.
+    """
+    starts = np.asarray(segment_starts, dtype=np.intp)
+    ends = np.append(starts[1:], columns.shape[1])
+    votes = np.zeros(len(starts), dtype=np.int64)
+    matches: dict[int, list[MatchRecord]] = {}
+    for first, dist in _distance_blocks(q_words, columns):
+        per_image = np.minimum.reduceat(dist, starts, axis=1)
+        voted = per_image <= tau
+        votes += voted.sum(axis=0)
+        if collect_matches:
+            for segment, qi in zip(*np.nonzero(voted.T)):
+                lo = starts[segment]
+                row = lo + int(np.argmin(dist[qi, lo : ends[segment]]))
+                matches.setdefault(int(segment), []).append(
+                    MatchRecord(
+                        query=entries[first + qi],
+                        reference=all_entries[row],
+                        distance=int(per_image[qi, segment]),
+                    )
+                )
+    n_query = len(entries)
+    image_scores = [
+        ImageScore(
+            image_id=segment_image_ids[segment],
+            votes=int(votes[segment]),
+            score=int(votes[segment]) / n_query,
+            matches=matches.get(int(segment), []),
+        )
+        for segment in np.nonzero(votes)[0]
+    ]
+    image_scores.sort(key=lambda s: (-s.score, s.image_id))
+    return image_scores
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,11 @@ import numpy as np
 
 from .descriptor import (
     DescriptorEntry,
+    _distance_blocks,
+    _to_words,
+    _word_columns,
     flip_bits,
     hamming_distances,
-    pairwise_hamming,
     random_descriptors,
     stack_descriptors,
     unpack_bits,
@@ -152,9 +154,7 @@ def _feasible_sets(
     """Per-query reference indices within each tau, from one distance pass."""
     tau_max = max(taus)
     sets: list[dict[int, np.ndarray]] = []
-    block = max(1, int((1 << 26) // max(1, r_matrix.shape[0] * r_matrix.shape[1])))
-    for start in range(0, q_matrix.shape[0], block):
-        dists = pairwise_hamming(q_matrix[start : start + block], r_matrix)
+    for _, dists in _distance_blocks(_to_words(q_matrix), _word_columns(r_matrix)):
         for row in dists:
             idx = np.nonzero(row <= tau_max)[0]
             d = row[idx]

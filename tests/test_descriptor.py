@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import hamtree.descriptor
 from hamtree import (
     bit_statistics,
     hamming,
@@ -109,6 +114,46 @@ def test_pairwise_hamming_matches_scalar_kernel():
     for i in range(17):
         for j in range(23):
             assert matrix[i, j] == hamming(a[i], b[j])
+
+
+@st.composite
+def pairwise_cases(draw):
+    """Query and reference matrices of 1-64 bytes and a chunk cap.
+
+    Toy widths keep the unused high bits of the last byte at zero. The
+    complement of the first query is planted among the references, so the
+    full-width distance occurs. A cap of 1 byte leaves one query per block.
+    """
+    nbytes = draw(st.integers(1, 64))
+    dim_bits = draw(st.integers(8 * nbytes - 7, 8 * nbytes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    queries = random_descriptors(draw(st.integers(0, 6)), dim_bits, rng)
+    refs = random_descriptors(draw(st.integers(0, 9)), dim_bits, rng)
+    if len(queries) and len(refs):
+        complement = queries[0] ^ pack_bits(np.ones(dim_bits, dtype=np.uint8))
+        refs[draw(st.integers(0, len(refs) - 1))] = complement
+    cap = draw(st.sampled_from([1, 300, 2000, 1 << 26]))
+    return queries, refs, cap
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=pairwise_cases(), hardware_popcount=st.booleans())
+def test_pairwise_hamming_equals_scalar_hamming(case, hardware_popcount):
+    queries, refs, cap = case
+    with mock.patch.object(
+        hamtree.descriptor, "_HAS_BITWISE_COUNT",
+        hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
+    ):
+        matrix = pairwise_hamming(queries, refs, max_chunk_bytes=cap)
+    assert matrix.dtype == np.int32
+    assert matrix.shape == (len(queries), len(refs))
+    want = [[reference_hamming(q, r) for r in refs] for q in queries]
+    assert matrix.tolist() == want
+
+
+def test_pairwise_hamming_width_mismatch_raises():
+    with pytest.raises(ValueError):
+        pairwise_hamming(np.zeros((2, 8), np.uint8), np.zeros((2, 9), np.uint8))
 
 
 # ----------------------------------------------------------------------

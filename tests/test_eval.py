@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import hamtree.descriptor
 from hamtree import (
     GroundTruth,
     GroundTruthParams,
+    ImageScore,
+    MatchRecord,
     PoseRecord,
     RetrievalConfig,
     SyntheticSpec,
@@ -21,6 +28,7 @@ from hamtree import (
     random_descriptors,
     run_protocol,
     run_protocol_brute_force,
+    unpack_bits,
 )
 from hamtree.evaluation import (
     PrCurve,
@@ -31,6 +39,7 @@ from hamtree.evaluation import (
     write_pr_csv,
     write_timing_csv,
 )
+from hamtree.descriptor import flip_bits
 
 from conftest import make_entries
 
@@ -214,6 +223,142 @@ def test_tree_and_brute_force_protocols_agree_on_single_leaf_config():
         assert [(s.image_id, s.votes) for s in tree_scores] == [
             (s.image_id, s.votes) for s in bf_scores
         ]
+
+
+def reference_brute_force_protocol(images, tau, collect_matches):
+    """The brute-force protocol before the word kernel, as the reference.
+
+    It keeps the whole corpus in one byte matrix grown by ``np.vstack`` and
+    encodes (distance, row) into one int64 so a single ``minimum.reduceat``
+    gives each stored image's closest row, first row among equals. Distances
+    come from unpacked bits, independent of any popcount.
+    """
+    all_entries = []
+    segment_starts = []
+    segment_image_ids = []
+    stored = None
+    scores = []
+    for image_id, entries in enumerate(images):
+        if stored is None or not entries:
+            scores.append([])
+        else:
+            q_matrix = np.stack([e.descriptor for e in entries])
+            dists = unpack_bits(q_matrix[:, None, :] ^ stored[None, :, :]).sum(axis=-1)
+            ref_index = np.arange(stored.shape[0], dtype=np.int64)
+            encoded = (dists.astype(np.int64) << 32) | ref_index
+            per_image = np.minimum.reduceat(encoded, segment_starts, axis=1)
+            min_dist = per_image >> 32
+            argmin = per_image & 0xFFFFFFFF
+            voted = min_dist <= tau
+            votes = voted.sum(axis=0)
+            image_scores = []
+            for segment in np.nonzero(votes)[0]:
+                matches = []
+                if collect_matches:
+                    for qi in np.nonzero(voted[:, segment])[0]:
+                        matches.append(
+                            MatchRecord(
+                                query=entries[qi],
+                                reference=all_entries[int(argmin[qi, segment])],
+                                distance=int(min_dist[qi, segment]),
+                            )
+                        )
+                image_scores.append(
+                    ImageScore(
+                        image_id=segment_image_ids[segment],
+                        votes=int(votes[segment]),
+                        score=int(votes[segment]) / len(entries),
+                        matches=matches,
+                    )
+                )
+            image_scores.sort(key=lambda s: (-s.score, s.image_id))
+            scores.append(image_scores)
+        if entries:
+            segment_starts.append(len(all_entries))
+            segment_image_ids.append(image_id)
+            all_entries.extend(entries)
+            block = np.stack([e.descriptor for e in entries])
+            stored = block if stored is None else np.vstack([stored, block])
+    return scores
+
+
+def score_records(scores_per_image):
+    """Scores with each match as (query object, stored object, distance)."""
+    return [
+        [
+            (s.image_id, s.votes, s.score,
+             [(id(m.query), id(m.reference), m.distance) for m in s.matches])
+            for s in image_scores
+        ]
+        for image_scores in scores_per_image
+    ]
+
+
+@st.composite
+def brute_force_cases(draw):
+    """A short sequence of near-duplicate images, some empty.
+
+    Descriptors are few-bit variants of one to three centres, so equal
+    distances within a stored image (ties) and exact duplicates are common.
+    """
+    dim_bits = draw(st.sampled_from([12, 64, 100, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = random_descriptors(draw(st.integers(1, 3)), dim_bits, rng)
+    images = []
+    for image_id in range(draw(st.integers(1, 7))):
+        rows = centres[rng.integers(0, len(centres), size=draw(st.sampled_from([0, 1, 3, 12])))]
+        for row in rows:
+            flips = rng.choice(dim_bits, size=int(rng.integers(0, 4)), replace=False)
+            row[:] = flip_bits(row, flips)
+        images.append(make_entries(rows, image_id=image_id))
+    tau = draw(st.one_of(st.just(0), st.just(dim_bits), st.integers(0, dim_bits)))
+    return images, tau
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    case=brute_force_cases(),
+    collect_matches=st.booleans(),
+    cap=st.sampled_from([1, 200, None]),
+    hardware_popcount=st.booleans(),
+)
+def test_brute_force_protocol_equals_encoded_reduceat_reference(
+    case, collect_matches, cap, hardware_popcount
+):
+    images, tau = case
+    with mock.patch.object(
+        hamtree.descriptor, "_MAX_CHUNK_BYTES",
+        hamtree.descriptor._MAX_CHUNK_BYTES if cap is None else cap,
+    ), mock.patch.object(
+        hamtree.descriptor, "_HAS_BITWISE_COUNT",
+        hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
+    ):
+        result = run_protocol_brute_force(
+            images, RetrievalConfig(tau=tau), collect_matches=collect_matches
+        )
+    want = reference_brute_force_protocol(images, tau, collect_matches)
+    assert score_records(result.scores) == score_records(want)
+    assert len(result.seconds) == len(images)
+
+
+def test_brute_force_protocol_memory_stays_under_the_chunk_cap():
+    # 500 queries against up to 2500 stored rows: the encoded per-image
+    # (n_q x N) int64 matrix would be 10 MB, 40 times the cap.
+    rng = np.random.default_rng(131)
+    images = [make_entries(random_descriptors(500, 64, rng), image_id=i) for i in range(6)]
+    config = RetrievalConfig(tau=20)
+    unbounded = run_protocol_brute_force(images, config)
+    cap = 1 << 18
+    with mock.patch.object(hamtree.descriptor, "_MAX_CHUNK_BYTES", cap):
+        tracemalloc.start()
+        result = run_protocol_brute_force(images, config)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert score_records(result.scores) == score_records(unbounded.scores)
+    assert any(result.scores)
+    # One block's buffers under the cap, plus the stored corpus (8 bytes a
+    # row, at most twice over after a doubling), the entry list and scores.
+    assert peak < 3 * cap
 
 
 def test_protocol_rejects_non_contiguous_image_ids():

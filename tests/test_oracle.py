@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import hamtree.descriptor
 from hamtree import (
+    BruteForceMatcher,
     DescriptorEntry,
     HammingTree,
     InternalNode,
@@ -20,6 +26,7 @@ from hamtree import (
     make_noisy_duplicate_corpus,
     random_descriptors,
 )
+from hamtree.descriptor import flip_bits
 from hamtree.oracle import write_bitwise_csv, write_depth_csv
 
 from conftest import make_entries
@@ -72,6 +79,50 @@ def test_brute_force_nearest_matches_naive_double_loop():
             else:
                 assert got is not None
                 assert (got.reference.keypoint_id, got.distance) == want
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim_bits=st.sampled_from([5, 12, 64, 100, 256]),
+    hardware_popcount=st.booleans(),
+)
+def test_brute_force_matcher_equals_scalar_kernel_with_ties(seed, dim_bits, hardware_popcount):
+    # Few-bit variants of two centres: equal distances and duplicates are
+    # common, and the first reference in order must win a tie.
+    rng = np.random.default_rng(seed)
+    centres = random_descriptors(2, dim_bits, rng)
+
+    def variants(count, image_id):
+        rows = centres[rng.integers(0, 2, size=count)]
+        for row in rows:
+            row[:] = flip_bits(row, rng.choice(dim_bits, size=int(rng.integers(0, 3)),
+                                               replace=False))
+        return make_entries(rows, image_id=image_id)
+
+    refs = variants(int(rng.integers(1, 20)), 0)
+    queries = variants(5, 1)
+    with mock.patch.object(
+        hamtree.descriptor, "_HAS_BITWISE_COUNT",
+        hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
+    ):
+        matcher = BruteForceMatcher(refs)
+        for query in queries:
+            want = [hamming(query.descriptor, r.descriptor) for r in refs]
+            dists = matcher.distances(query.descriptor)
+            assert dists.dtype == np.int32
+            assert dists.tolist() == want
+            for tau in (0, min(want), dim_bits):
+                got = matcher.nearest(query, tau)
+                expected = naive_nearest(query, refs, tau)
+                if expected is None:
+                    assert got is None
+                else:
+                    assert got.reference is refs[expected[0]]
+                    assert got.distance == expected[1]
+                assert [(id(m.reference), m.distance) for m in matcher.all_within(query, tau)] == [
+                    (id(r), d) for r, d in zip(refs, want) if d <= tau
+                ]
 
 
 def test_brute_force_all_saturation_and_zero():
