@@ -11,7 +11,12 @@ node structure in preorder, one tag byte per node (0 = leaf, 1 = internal).
 An internal node is followed by its u16 bit index, then its left and right
 subtrees; a leaf by a u32 entry count and that many records in the
 descriptor-file record layout. Deserializing a serialized tree reproduces it
-node for node, including entry order within leaves.
+node for node, including entry order within leaves; a stream whose tree breaks
+the routing invariant (a bit repeated on a path, or a leaf row that disagrees
+with its path) is rejected.
+
+Both formats share one record codec that converts between a record array and
+an entry list column by column, so no per-record Python loop remains.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .descriptor import DescriptorEntry
+from .descriptor import DescriptorEntry, _stack_checked
 from .tree import HammingTree, InternalNode, LeafNode, TreeConfig, TreeNode
 
 __all__ = [
@@ -80,6 +85,68 @@ def _check_file_width(dim_bits: int) -> int:
 
 
 # ----------------------------------------------------------------------
+# Record codec, shared by both formats
+# ----------------------------------------------------------------------
+
+def _encode_records(entries: Sequence[DescriptorEntry], payload: np.ndarray) -> np.ndarray:
+    """The entries as one record array, filled column by column.
+
+    ``payload`` holds the entries' descriptors as (len, nbytes) rows. Ids
+    must fit u32 and coordinates float32; otherwise a ValueError names the
+    first entry and field that does not.
+    """
+    n, nbytes = payload.shape
+    try:
+        image_ids = np.array([e.image_id for e in entries], dtype=np.int64)
+        keypoint_ids = np.array([e.keypoint_id for e in entries], dtype=np.int64)
+        in_range = n == 0 or (
+            min(image_ids.min(), keypoint_ids.min()) >= 0
+            and max(image_ids.max(), keypoint_ids.max()) < _U32_END
+        )
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        for entry in entries:
+            _check_ids(entry)
+    xy = np.array(
+        [[e.keypoint_xy[0] for e in entries], [e.keypoint_xy[1] for e in entries]],
+        dtype=np.float64,
+    )
+    with np.errstate(over="ignore"):
+        xy32 = xy.astype(np.float32)
+    # A finite coordinate that rounds to an infinite float32 overflows.
+    if np.count_nonzero(np.isinf(xy32)) > np.count_nonzero(np.isinf(xy)):
+        e = entries[int(np.argmax((np.isinf(xy32) & ~np.isinf(xy)).any(axis=0)))]
+        raise ValueError(
+            f"keypoint_xy {e.keypoint_xy} of entry ({e.image_id}, {e.keypoint_id}) "
+            f"is outside the float32 range"
+        )
+    records = np.empty(n, dtype=_record_dtype(nbytes))
+    records["image_id"] = image_ids
+    records["keypoint_id"] = keypoint_ids
+    records["x"], records["y"] = xy32
+    records["payload"] = payload
+    return records
+
+
+def _decode_records(records: np.ndarray) -> list[DescriptorEntry]:
+    """Entries of a record array, in order.
+
+    Ids are Python ints and coordinates Python floats; the descriptors are
+    writable rows of one fresh copy of the payload column.
+    """
+    return list(
+        map(
+            DescriptorEntry,
+            np.array(records["payload"]),
+            records["image_id"].tolist(),
+            records["keypoint_id"].tolist(),
+            zip(records["x"].tolist(), records["y"].tolist()),
+        )
+    )
+
+
+# ----------------------------------------------------------------------
 # Descriptor files
 # ----------------------------------------------------------------------
 
@@ -88,22 +155,7 @@ def write_descriptor_file(
 ) -> None:
     """Write a descriptor corpus; entry order is preserved."""
     nbytes = _check_file_width(dim_bits)
-    records = np.empty(len(entries), dtype=_record_dtype(nbytes))
-    for i, entry in enumerate(entries):
-        desc = np.asarray(entry.descriptor, dtype=np.uint8)
-        if desc.shape[0] != nbytes:
-            raise ValueError(
-                f"entry {i} has a {desc.shape[0] * 8}-bit descriptor, "
-                f"file is declared {dim_bits}-bit"
-            )
-        _check_ids(entry)
-        records[i] = (
-            entry.image_id,
-            entry.keypoint_id,
-            entry.keypoint_xy[0],
-            entry.keypoint_xy[1],
-            desc,
-        )
+    records = _encode_records(entries, _stack_checked(entries, nbytes))
     with open(path, "wb") as fh:
         fh.write(DESCRIPTOR_MAGIC)
         fh.write(struct.pack("<IQ", dim_bits, len(entries)))
@@ -121,8 +173,7 @@ def read_descriptor_file(path) -> tuple[list[DescriptorEntry], int]:
     dim_bits, count = struct.unpack_from("<IQ", data, len(DESCRIPTOR_MAGIC))
     if dim_bits < 8 or dim_bits % 8 != 0:
         raise FormatError(f"{path}: invalid dim_bits {dim_bits}")
-    nbytes = dim_bits // 8
-    dtype = _record_dtype(nbytes)
+    dtype = _record_dtype(dim_bits // 8)
     offset = len(DESCRIPTOR_MAGIC) + 12
     expected = offset + count * dtype.itemsize
     if len(data) != expected:
@@ -130,16 +181,7 @@ def read_descriptor_file(path) -> tuple[list[DescriptorEntry], int]:
             f"{path}: {len(data)} bytes, expected {expected} for {count} records"
         )
     records = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-    entries = [
-        DescriptorEntry(
-            descriptor=np.array(rec["payload"], dtype=np.uint8),
-            image_id=int(rec["image_id"]),
-            keypoint_id=int(rec["keypoint_id"]),
-            keypoint_xy=(float(rec["x"]), float(rec["y"])),
-        )
-        for rec in records
-    ]
-    return entries, int(dim_bits)
+    return _decode_records(records), int(dim_bits)
 
 
 # ----------------------------------------------------------------------
@@ -149,31 +191,19 @@ def read_descriptor_file(path) -> tuple[list[DescriptorEntry], int]:
 def serialize_tree(tree: HammingTree) -> bytes:
     """Serialize a tree to its preorder byte stream."""
     nbytes = _check_file_width(tree.dim_bits)
-    out = bytearray()
-    out += TREE_MAGIC
+    out = bytearray(TREE_MAGIC)
     out += struct.pack("<BI", TREE_VERSION, tree.dim_bits)
     stack: list[TreeNode] = [tree.root]
     while stack:
         node = stack.pop()
         if isinstance(node, LeafNode):
-            out.append(0)
-            out += struct.pack("<I", len(node))
-            for entry in node.entries:
-                desc = np.asarray(entry.descriptor, dtype=np.uint8)
-                if desc.shape[0] != nbytes:
-                    raise ValueError("leaf entry width does not match tree dim_bits")
-                _check_ids(entry)
-                out += struct.pack(
-                    "<IIff",
-                    entry.image_id,
-                    entry.keypoint_id,
-                    entry.keypoint_xy[0],
-                    entry.keypoint_xy[1],
-                )
-                out += desc.tobytes()
+            packed = node.packed()
+            if packed.shape[1] != nbytes:
+                raise ValueError("leaf entry width does not match tree dim_bits")
+            out += struct.pack("<BI", 0, len(node))
+            out += _encode_records(node.entries, packed).tobytes()
         else:
-            out.append(1)
-            out += struct.pack("<H", node.bit_index)
+            out += struct.pack("<BH", 1, node.bit_index)
             stack.append(node.right)
             stack.append(node.left)
     return bytes(out)
@@ -186,30 +216,36 @@ class _Cursor:
         self.data = data
         self.offset = 0
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.offset + size > len(self.data):
+    def _advance(self, size: int) -> int:
+        """Offset of the next ``size`` bytes, which must all be present."""
+        start = self.offset
+        if start + size > len(self.data):
             raise FormatError("truncated tree stream")
-        values = struct.unpack_from(fmt, self.data, self.offset)
-        self.offset += size
-        return values
+        self.offset = start + size
+        return start
 
-    def take_bytes(self, size: int) -> bytes:
-        if self.offset + size > len(self.data):
-            raise FormatError("truncated tree stream")
-        chunk = self.data[self.offset : self.offset + size]
-        self.offset += size
-        return chunk
+    def take(self, fmt: str):
+        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
+
+    def take_records(self, dtype: np.dtype, count: int) -> np.ndarray:
+        start = self._advance(count * dtype.itemsize)
+        return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
 
 
 def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTree:
     """Rebuild a tree from its byte stream.
 
     The stream holds no matching parameters, so the caller may pass the
-    config to continue inserting under; the default config is used otherwise.
+    config to continue inserting under; otherwise the default config is
+    used, with tau capped at the stream's width.
+
+    A stream that is malformed, or whose tree could not be searched
+    correctly, raises FormatError: a bit index repeated on a root-to-leaf
+    path, or a leaf holding a descriptor whose bits disagree with the path
+    to that leaf.
     """
     cursor = _Cursor(data)
-    magic = cursor.take_bytes(len(TREE_MAGIC))
+    (magic,) = cursor.take(f"{len(TREE_MAGIC)}s")
     if magic != TREE_MAGIC:
         raise FormatError(f"bad tree magic {magic!r}")
     version, dim_bits = cursor.take("<BI")
@@ -217,7 +253,13 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
         raise FormatError(f"unsupported tree version {version}")
     if dim_bits < 8 or dim_bits % 8 != 0:
         raise FormatError(f"invalid dim_bits {dim_bits}")
-    nbytes = dim_bits // 8
+    dtype = _record_dtype(dim_bits // 8)
+
+    # The split tests on the path to the node being parsed, root first, and
+    # the set of their bits.
+    path_bits: list[int] = []
+    path_sides: list[int] = []
+    on_path: set[int] = set()
 
     def parse_one() -> TreeNode:
         (tag,) = cursor.take("<B")
@@ -227,45 +269,52 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
                 raise FormatError(
                     f"bit index {bit_index} out of range for {dim_bits}-bit tree"
                 )
+            if bit_index in on_path:
+                raise FormatError(f"bit index {bit_index} repeats on a root-to-leaf path")
             return InternalNode(bit_index, None, None)  # children attached below
         if tag != 0:
             raise FormatError(f"unknown node tag {tag}")
         (count,) = cursor.take("<I")
-        entries = []
-        for _ in range(count):
-            image_id, keypoint_id, x, y = cursor.take("<IIff")
-            payload = cursor.take_bytes(nbytes)
-            entries.append(
-                DescriptorEntry(
-                    descriptor=np.frombuffer(payload, dtype=np.uint8).copy(),
-                    image_id=image_id,
-                    keypoint_id=keypoint_id,
-                    keypoint_xy=(x, y),
-                )
-            )
-        return LeafNode(dim_bits, entries)
+        records = cursor.take_records(dtype, count)
+        packed = np.array(records["payload"])
+        if count and path_bits:
+            # Each row's bits at the path's split indices must equal the path.
+            bits = np.array(path_bits)
+            shifts = (bits & 7).astype(np.uint8)
+            if not ((packed[:, bits >> 3] >> shifts) & 1 == path_sides).all():
+                raise FormatError("a leaf holds a descriptor that does not route to it")
+        return LeafNode._from_columns(
+            dim_bits, _decode_records(records), packed, records["image_id"].astype(np.int64)
+        )
 
     # The stream is preorder, so each internal node is followed by its left
-    # subtree, then its right; a pending-slot stack reproduces that without
-    # recursing (paths can be up to dim_bits long).
+    # subtree, then its right; a stack of pending (parent, side, depth) slots
+    # reproduces that without recursing (paths can be up to dim_bits long).
     root = parse_one()
-    pending: list[tuple[InternalNode, bool]] = []
+    pending: list[tuple[InternalNode, int, int]] = []
     if isinstance(root, InternalNode):
-        pending = [(root, True), (root, False)]
+        pending = [(root, 1, 1), (root, 0, 1)]
     while pending:
-        parent, is_right = pending.pop()
+        parent, side, depth = pending.pop()
+        on_path.difference_update(path_bits[depth - 1 :])
+        del path_bits[depth - 1 :], path_sides[depth - 1 :]
+        path_bits.append(parent.bit_index)
+        path_sides.append(side)
+        on_path.add(parent.bit_index)
         node = parse_one()
-        if is_right:
+        if side:
             parent.right = node
         else:
             parent.left = node
         if isinstance(node, InternalNode):
-            pending.append((node, True))
-            pending.append((node, False))
+            pending.append((node, 1, depth + 1))
+            pending.append((node, 0, depth + 1))
     if cursor.offset != len(data):
         raise FormatError(
             f"{len(data) - cursor.offset} trailing bytes after tree stream"
         )
+    if config is None:
+        config = TreeConfig(tau=min(TreeConfig().tau, dim_bits))
     return HammingTree(dim_bits, config, root=root)
 
 

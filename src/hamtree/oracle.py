@@ -217,10 +217,10 @@ def depth_completeness(
     """Measured vs predicted completeness over a family of balanced trees.
 
     For each depth h a balanced tree is built with n_max=1 so the depth bound
-    governs the structure (h=0 degenerates to a single leaf holding the whole
-    corpus). Measured completeness is averaged over all queries; the
-    prediction raises the mean single-level completeness to the h-th power.
-    One report per threshold.
+    governs the structure. h=0 is a single leaf holding the whole corpus,
+    whose measured completeness is 1 by construction. Measured completeness
+    is averaged over all queries; the prediction raises the mean
+    single-level completeness to the h-th power. One report per threshold.
     """
     q_matrix, r_matrix, dim_bits = _corpus_matrices(queries, refs, dim_bits)
     taus = list(tau_list)
@@ -241,15 +241,14 @@ def depth_completeness(
     measured: dict[int, dict[int, float]] = {tau: {} for tau in taus}
     for h in depths:
         if h == 0:
-            config = TreeConfig(
-                tau=min(tau_max, dim_bits), delta_max=delta_max,
-                n_max=max(1, len(refs)),
-            )
-        else:
-            config = TreeConfig(
-                tau=min(tau_max, dim_bits), delta_max=delta_max,
-                n_max=1, max_depth=h,
-            )
+            # A single leaf holding every reference: its scan returns exactly
+            # each query's feasible set, so the tree is not built.
+            for tau in taus:
+                measured[tau][0] = 1.0
+            continue
+        config = TreeConfig(
+            tau=min(tau_max, dim_bits), delta_max=delta_max, n_max=1, max_depth=h
+        )
         tree = HammingTree.build_balanced(refs, config, dim_bits)
         hits = tree.search_all_batch(q_matrix, min(tau_max, dim_bits))
         for tau in taus:

@@ -24,7 +24,7 @@ from .descriptor import (
     descriptor_nbytes,
     descriptor_to_int,
     _row_popcount,
-    stack_descriptors,
+    _stack_checked,
     unpack_bits,
 )
 
@@ -45,6 +45,12 @@ __all__ = [
 # query whose leaf alone is larger is scanned on its own), so an oversize
 # leaf reached by many queries cannot blow up memory.
 _SCAN_CHUNK_BYTES = 1 << 23
+
+# Unpacked bytes per block when ``build_balanced`` counts set bits. Unpacking
+# a whole 1e5 x 256-bit corpus at once makes a 25.6 MB temporary, and freed
+# blocks that large raise glibc's mmap threshold, so later ones stay in the
+# heap and the process keeps them as resident memory.
+_COUNT_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(slots=True)
@@ -94,17 +100,25 @@ class LeafNode:
     def __init__(self, dim_bits: int, entries: Sequence[DescriptorEntry] = ()):
         self.entries: list[DescriptorEntry] = list(entries)
         self._dim_bits = dim_bits
-        nbytes = descriptor_nbytes(dim_bits)
-        if self.entries:
-            self._packed = stack_descriptors(self.entries)
-            if self._packed.shape[1:] != (nbytes,):
-                raise ValueError(
-                    f"leaf entries have {self._packed.shape[1:]} bytes per "
-                    f"descriptor, expected {nbytes}"
-                )
-        else:
-            self._packed = np.empty((0, nbytes), dtype=np.uint8)
+        self._packed = _stack_checked(self.entries, descriptor_nbytes(dim_bits))
         self._image_ids = np.array([e.image_id for e in self.entries], dtype=np.int64)
+
+    @classmethod
+    def _from_columns(
+        cls,
+        dim_bits: int,
+        entries: list[DescriptorEntry],
+        packed: np.ndarray,
+        image_ids: np.ndarray,
+    ) -> "LeafNode":
+        """A leaf over ready columns: ``packed`` (len, W) uint8 rows and
+        int64 ``image_ids`` mirroring ``entries``, all taken as they are."""
+        leaf = cls.__new__(cls)
+        leaf._dim_bits = dim_bits
+        leaf.entries = entries
+        leaf._packed = packed
+        leaf._image_ids = image_ids
+        return leaf
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -133,12 +147,27 @@ class LeafNode:
 
     def _subset(self, mask: np.ndarray) -> "LeafNode":
         """A new leaf holding the rows where ``mask`` is True, in order."""
-        leaf = LeafNode.__new__(LeafNode)
-        leaf._dim_bits = self._dim_bits
-        leaf.entries = [self.entries[i] for i in np.flatnonzero(mask).tolist()]
-        leaf._packed = self.packed()[mask]
-        leaf._image_ids = self.image_ids()[mask]
-        return leaf
+        return LeafNode._from_columns(
+            self._dim_bits,
+            [self.entries[i] for i in np.flatnonzero(mask).tolist()],
+            self.packed()[mask],
+            self.image_ids()[mask],
+        )
+
+
+def _bit_counts(packed: np.ndarray, dim_bits: int) -> np.ndarray:
+    """Per-bit set counts over the rows of a packed (n, W) matrix.
+
+    Rows are unpacked in blocks of about ``_COUNT_BLOCK_BYTES``, so no
+    (n, dim_bits) temporary is made. The int32 sums run about twice as fast
+    as int64 ones, and a count never exceeds the number of rows.
+    """
+    counts = np.zeros(dim_bits, dtype=np.int32)
+    rows = max(1, _COUNT_BLOCK_BYTES // dim_bits)
+    for lo in range(0, packed.shape[0], rows):
+        block = unpack_bits(packed[lo : lo + rows], dim_bits)
+        counts += block.sum(axis=0, dtype=np.int32)
+    return counts
 
 
 def _grown(column: np.ndarray, capacity: int) -> np.ndarray:
@@ -287,46 +316,59 @@ class HammingTree:
                 raise ValueError("dim_bits is required to build an empty tree")
             dim_bits = 8 * int(np.asarray(entries[0].descriptor).shape[0])
         tree = cls(dim_bits, config)
-        nbytes = descriptor_nbytes(dim_bits)
-        for e in entries:
-            if np.asarray(e.descriptor).shape[0] != nbytes:
-                raise ValueError(
-                    f"descriptor of entry ({e.image_id}, {e.keypoint_id}) has "
-                    f"{np.asarray(e.descriptor).shape[0]} bytes, expected {nbytes}"
-                )
         if not entries:
             return tree
-        bits = unpack_bits(np.stack([e.descriptor for e in entries]), dim_bits)
-        order = np.arange(len(entries))
-        tree.root = tree._build_recursive(entries, bits, order, 0, set())
+        matrix = _stack_checked(entries, descriptor_nbytes(dim_bits))
+        column = np.empty(len(entries), dtype=object)
+        column[:] = entries
+        image_ids = np.array([e.image_id for e in entries], dtype=np.int64)
+        tree.root = tree._build_recursive(
+            (column, matrix, image_ids),
+            np.arange(len(entries)),
+            _bit_counts(matrix, dim_bits),
+            0,
+            set(),
+        )
         tree.count = len(entries)
         return tree
 
     def _build_recursive(
         self,
-        entries: list[DescriptorEntry],
-        bits: np.ndarray,
+        columns: tuple[np.ndarray, np.ndarray, np.ndarray],
         subset: np.ndarray,
+        counts: np.ndarray,
         depth: int,
         forbidden: set[int],
     ) -> TreeNode:
+        """Node over rows ``subset`` of the entry, descriptor and image-id
+        ``columns``; ``counts`` are the per-bit set counts of those rows."""
         cfg = self.config
+        column, matrix, image_ids = columns
         if len(subset) > cfg.n_max and depth < cfg.depth_limit(self.dim_bits):
-            counts = bits[subset].sum(axis=0, dtype=np.int64)
             stats = BitStatistics(counts=counts, total=len(subset))
             bit = select_split_bit(stats, forbidden, cfg.delta_max)
             if bit is not None:
-                mask = bits[subset, bit] == 1
+                mask = (matrix[subset, bit >> 3] >> (bit & 7)) & 1 == 1
+                left, right = subset[~mask], subset[mask]
+                # Count the smaller half only; the other half holds the rest.
+                if len(right) < len(left):
+                    right_counts = _bit_counts(matrix[right], self.dim_bits)
+                    left_counts = counts - right_counts
+                else:
+                    left_counts = _bit_counts(matrix[left], self.dim_bits)
+                    right_counts = counts - left_counts
                 forbidden.add(bit)
-                left = self._build_recursive(
-                    entries, bits, subset[~mask], depth + 1, forbidden
+                left_node = self._build_recursive(
+                    columns, left, left_counts, depth + 1, forbidden
                 )
-                right = self._build_recursive(
-                    entries, bits, subset[mask], depth + 1, forbidden
+                right_node = self._build_recursive(
+                    columns, right, right_counts, depth + 1, forbidden
                 )
                 forbidden.remove(bit)
-                return InternalNode(bit, left, right)
-        return LeafNode(self.dim_bits, [entries[i] for i in subset])
+                return InternalNode(bit, left_node, right_node)
+        return LeafNode._from_columns(
+            self.dim_bits, column[subset].tolist(), matrix[subset], image_ids[subset]
+        )
 
     # ------------------------------------------------------------------
     # Search

@@ -279,3 +279,26 @@ def test_tree_info_on_garbage_exits_two(tmp_path):
 
 def test_unknown_command_exits_one():
     assert run("frobnicate") == 1
+
+
+def test_tree_info_on_corrupt_trees_exits_two_without_traceback(tmp_path, capsys):
+    from hamtree import HammingTree, InternalNode, TreeConfig, random_descriptors, serialize_tree
+    from hamtree.descriptor import DescriptorEntry
+
+    rng = np.random.default_rng(95)
+    entries = [DescriptorEntry(d, 0, i) for i, d in enumerate(random_descriptors(24, 64, rng))]
+    tree = HammingTree.build_balanced(entries, TreeConfig(tau=8, n_max=4), 64)
+    blob = serialize_tree(tree)
+    root = tree.root
+    tree.root = InternalNode(root.bit_index, root.right, root.left)
+    swapped = serialize_tree(tree)
+    # A one-leaf tree whose entry count (bytes 10..13) claims 2**32 - 1 records.
+    huge_count = bytearray(serialize_tree(HammingTree.build_balanced(entries[:3], tree.config)))
+    huge_count[10:14] = b"\xff" * 4
+    variants = [swapped, bytes(huge_count)] + [blob[:cut] for cut in range(0, len(blob), 7)]
+    path = tmp_path / "bad.hbt"
+    for data in variants:
+        path.write_bytes(data)
+        assert run("tree", "info", "--tree", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("format error") and "Traceback" not in err

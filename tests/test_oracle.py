@@ -329,6 +329,21 @@ def test_depth_completeness_rejects_tree_finding_more_than_brute_force(monkeypat
         depth_completeness(queries, refs, [4], [1], 64)
 
 
+def test_depth_completeness_answers_depth_zero_without_a_tree(monkeypatch):
+    queries, refs = make_noisy_duplicate_corpus(2, 60, 64, max_flips=8, seed=23)
+    built = []
+    real = HammingTree.build_balanced.__func__
+
+    def counting(cls, entries, config=None, dim_bits=None):
+        built.append(config.max_depth)
+        return real(cls, entries, config, dim_bits)
+
+    monkeypatch.setattr(HammingTree, "build_balanced", classmethod(counting))
+    reports = depth_completeness(queries, refs, [0, 4, 64], [0, 2], 64)
+    assert built == [2]
+    assert all(report.per_depth_measured[0] == 1.0 for report in reports)
+
+
 def test_depth_completeness_predicted_power_example():
     # predicted completeness at depth 2 for a mean single-level value of 0.9
     assert 0.9**2 == pytest.approx(0.81)

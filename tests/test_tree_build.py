@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hamtree import (
     BitStatistics,
@@ -174,3 +176,78 @@ def test_config_validation():
         TreeConfig(delta_max=0.7).validate(256)
     with pytest.raises(ValueError):
         TreeConfig(max_depth=300).validate(256)
+
+
+# ----------------------------------------------------------------------
+# build_balanced against the per-leaf reference build
+# ----------------------------------------------------------------------
+
+def reference_build_balanced(entries, config, dim_bits):
+    """Counts every node's bits from scratch and stacks every leaf from its
+    entries, as the balanced build first did."""
+    entries = list(entries)
+    tree = HammingTree(dim_bits, config)
+    if not entries:
+        return tree
+    bits = unpack_bits(np.stack([e.descriptor for e in entries]), dim_bits)
+
+    def build(subset, depth, forbidden):
+        if len(subset) > config.n_max and depth < config.depth_limit(dim_bits):
+            counts = bits[subset].sum(axis=0, dtype=np.int64)
+            bit = select_split_bit(
+                BitStatistics(counts=counts, total=len(subset)), forbidden, config.delta_max
+            )
+            if bit is not None:
+                mask = bits[subset, bit] == 1
+                forbidden.add(bit)
+                left = build(subset[~mask], depth + 1, forbidden)
+                right = build(subset[mask], depth + 1, forbidden)
+                forbidden.remove(bit)
+                return InternalNode(bit, left, right)
+        return LeafNode(dim_bits, [entries[i] for i in subset])
+
+    tree.root = build(np.arange(len(entries)), 0, set())
+    tree.count = len(entries)
+    return tree
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(8, 512),
+    st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.integers(1, 12),
+    st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.5]),
+    st.integers(0, 10),
+)
+def test_build_balanced_matches_reference_build(
+    dim_bits, n, seed, duplicates, n_max, delta_max, max_depth
+):
+    rng = np.random.default_rng(seed)
+    matrix = random_descriptors(n, dim_bits, rng)
+    if n > 1 and duplicates:
+        # Copies of one descriptor, which no split can separate.
+        matrix[rng.integers(0, n, size=n // 2)] = matrix[0]
+    entries = make_entries(matrix, image_id=seed % 7)
+    for i, entry in enumerate(entries):
+        entry.image_id += i % 3
+    config = TreeConfig(
+        tau=0, delta_max=delta_max, n_max=n_max,
+        max_depth=min(max_depth, dim_bits) or None,
+    )
+    tree = HammingTree.build_balanced(entries, config, dim_bits)
+    expected = reference_build_balanced(entries, config, dim_bits)
+    assert tree.structurally_equal(expected)
+    assert tree.count == expected.count == n
+    got = list(tree._iter_leaves())
+    want = list(expected._iter_leaves())
+    assert len(got) == len(want)
+    for (leaf, _), (ref_leaf, _) in zip(got, want):
+        # The same entry objects in the same order, and columns mirroring them.
+        assert all(a is b for a, b in zip(leaf.entries, ref_leaf.entries))
+        assert np.array_equal(leaf.packed(), ref_leaf.packed())
+        assert leaf.packed().dtype == np.uint8
+        assert np.array_equal(leaf.image_ids(), ref_leaf.image_ids())
+        assert leaf.image_ids().dtype == np.int64
+    assert_tree_invariants(tree)
