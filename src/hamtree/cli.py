@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .descriptor import DescriptorEntry, flip_bits
+from .descriptor import DescriptorEntry
 from .evaluation import (
     GroundTruthParams,
     ProtocolResult,
@@ -45,6 +45,7 @@ from .io import (
 )
 from .oracle import (
     BruteForceMatcher,
+    _noisy_queries,
     bitwise_completeness,
     depth_completeness,
     write_bitwise_csv,
@@ -256,20 +257,7 @@ def _cmd_completeness(args) -> int:
             )
     else:
         max_flips = args.max_flips if args.max_flips is not None else max(taus)
-        rng = np.random.default_rng(args.seed)
-        n_images = max(e.image_id for e in refs) + 1
-        queries = []
-        flip_counts = rng.integers(0, max_flips + 1, size=len(refs))
-        for i, ref in enumerate(refs):
-            f = int(flip_counts[i])
-            positions = rng.choice(dim_bits, size=f, replace=False) if f else ()
-            queries.append(
-                DescriptorEntry(
-                    flip_bits(ref.descriptor, positions),
-                    n_images + ref.image_id,
-                    ref.keypoint_id,
-                )
-            )
+        queries = _noisy_queries(refs, dim_bits, max_flips, np.random.default_rng(args.seed))
     per_bit = bitwise_completeness(queries, refs, taus, dim_bits)
     write_bitwise_csv(args.bits_csv, per_bit)
     reports = depth_completeness(queries, refs, taus, depths, dim_bits)

@@ -30,7 +30,7 @@ from .descriptor import (
     stack_descriptors,
 )
 from .retrieval import ImageScore, RetrievalConfig, query_image
-from .tree import HammingTree, MatchRecord, TreeConfig
+from .tree import HammingTree, LeafHits, TreeConfig
 
 __all__ = [
     "PoseRecord",
@@ -205,26 +205,13 @@ def run_protocol(
     collect_matches: bool = False,
 ) -> ProtocolResult:
     """Query-then-insert every image against the incrementally built tree."""
-    if retrieval_config is None:
-        retrieval_config = RetrievalConfig()
-    _validate_images(images)
     if dim_bits is None:
         first = next((e for entries in images for e in entries), None)
         if first is None:
             raise ValueError("protocol needs at least one descriptor")
         dim_bits = 8 * int(np.asarray(first.descriptor).shape[0])
     tree = HammingTree(dim_bits, tree_config)
-    scores: list[list[ImageScore]] = []
-    seconds: list[float] = []
-    for entries in images:
-        start = time.perf_counter()
-        scores.append(
-            query_image(tree, entries, retrieval_config, collect_matches=collect_matches)
-        )
-        for entry in entries:
-            tree.insert(entry)
-        seconds.append(time.perf_counter() - start)
-    return ProtocolResult(scores=scores, seconds=seconds)
+    return _run(images, tree, retrieval_config, collect_matches)
 
 
 def run_protocol_brute_force(
@@ -238,114 +225,105 @@ def run_protocol_brute_force(
     database image the single closest record (ties to the earliest insertion)
     votes when it is within tau. This is the accuracy ceiling the tree
     approximates, at a per-image cost that grows with the database.
-
-    The stored corpus is one word-major ``(words, capacity)`` buffer that
-    doubles when full, so appending an image costs amortized O(its size).
-    An image's queries are matched in blocks from the word kernel, whose
-    buffers stay under ``descriptor._MAX_CHUNK_BYTES``, and each block is
-    reduced to per-image minima at once, so no temporary grows with queries
-    times corpus.
     """
+    return _run(images, _ExhaustiveIndex(), retrieval_config, collect_matches)
+
+
+def _run(
+    images: Sequence[Sequence[DescriptorEntry]],
+    index: HammingTree | _ExhaustiveIndex,
+    retrieval_config: RetrievalConfig | None,
+    collect_matches: bool,
+) -> ProtocolResult:
+    """Per image, ``query_image`` against ``index`` and then ``index.add``;
+    each image's seconds cover both."""
     if retrieval_config is None:
         retrieval_config = RetrievalConfig()
     retrieval_config.validate()
     _validate_images(images)
-    all_entries: list[DescriptorEntry] = []
-    segment_starts: list[int] = []
-    segment_image_ids: list[int] = []
-    nbytes: int | None = None
-    columns: np.ndarray | None = None
     scores: list[list[ImageScore]] = []
     seconds: list[float] = []
-    for image_id, entries in enumerate(images):
+    for entries in images:
         start = time.perf_counter()
-        image_scores: list[ImageScore] = []
-        if entries:
-            q_matrix = stack_descriptors(entries)
-            if nbytes is None:
-                nbytes = q_matrix.shape[1]
-            elif q_matrix.shape[1] != nbytes:
-                raise ValueError(f"width mismatch: {q_matrix.shape[1]} vs {nbytes} bytes")
-            q_words = _to_words(q_matrix)
-            n_stored = len(all_entries)
-            if n_stored:
-                image_scores = _brute_force_scores(
-                    entries, q_words, columns[:, :n_stored], segment_starts,
-                    segment_image_ids, all_entries, retrieval_config.tau, collect_matches,
-                )
-            columns = _append_columns(columns, n_stored, q_words)
-            segment_starts.append(n_stored)
-            segment_image_ids.append(image_id)
-            all_entries.extend(entries)
-        scores.append(image_scores)
+        scores.append(
+            query_image(index, entries, retrieval_config, collect_matches=collect_matches)
+        )
+        index.add(entries)
         seconds.append(time.perf_counter() - start)
     return ProtocolResult(scores=scores, seconds=seconds)
 
 
-def _append_columns(columns: np.ndarray | None, n_stored: int, words: np.ndarray) -> np.ndarray:
-    """Store ``(n, words)`` rows as columns ``n_stored..`` of the word-major store.
+class _ExhaustiveIndex:
+    """Every stored descriptor, scanned in full, behind the tree's calls.
 
-    A full store is replaced by one of twice the capacity, so appending costs
-    amortized O(n). Returns the (possibly new) ``(words, capacity)`` store.
+    The corpus is one word-major ``(words, capacity)`` store that doubles
+    when full, so adding an image costs amortized O(its size); each
+    non-empty image is a segment of consecutive columns. A search matches
+    the queries in blocks from the word kernel, whose buffers stay under
+    ``descriptor._MAX_CHUNK_BYTES``, and reduces each block to per-image
+    minima, so beyond one block it holds only the (queries, stored images)
+    minima. Each minimum within tau is a hit, with ``position`` the image's
+    segment and no leaves; the row behind a hit is found only by
+    ``hit_references``.
     """
-    needed = n_stored + words.shape[0]
-    if columns is None or needed > columns.shape[1]:
-        capacity = needed if columns is None else max(2 * columns.shape[1], needed)
-        grown = np.empty((words.shape[1], capacity), dtype=np.uint64)
-        if columns is not None:
-            grown[:, :n_stored] = columns[:, :n_stored]
-        columns = grown
-    columns[:, n_stored:needed] = words.T
-    return columns
 
+    def __init__(self) -> None:
+        self._entries: list[DescriptorEntry] = []
+        self._columns: np.ndarray | None = None
+        self._starts: list[int] = []
+        self._image_ids: list[int] = []
 
-def _brute_force_scores(
-    entries: Sequence[DescriptorEntry],
-    q_words: np.ndarray,
-    columns: np.ndarray,
-    segment_starts: list[int],
-    segment_image_ids: list[int],
-    all_entries: list[DescriptorEntry],
-    tau: int,
-    collect_matches: bool,
-) -> list[ImageScore]:
-    """Ranked votes of one image's queries against every stored image.
+    def _words(self, matrix: np.ndarray) -> np.ndarray:
+        nbytes = len(self._entries[0].descriptor) if self._entries else matrix.shape[1]
+        if matrix.shape[1] != nbytes:
+            raise ValueError(f"width mismatch: {matrix.shape[1]} vs {nbytes} bytes")
+        return _to_words(matrix)
 
-    Per (query, stored image) the segment minimum votes when within tau;
-    with ``collect_matches`` its record is the segment's first row at that
-    minimum, i.e. the earliest insertion.
-    """
-    starts = np.asarray(segment_starts, dtype=np.intp)
-    ends = np.append(starts[1:], columns.shape[1])
-    votes = np.zeros(len(starts), dtype=np.int64)
-    matches: dict[int, list[MatchRecord]] = {}
-    for first, dist in _distance_blocks(q_words, columns):
-        per_image = np.minimum.reduceat(dist, starts, axis=1)
-        voted = per_image <= tau
-        votes += voted.sum(axis=0)
-        if collect_matches:
-            for segment, qi in zip(*np.nonzero(voted.T)):
-                lo = starts[segment]
-                row = lo + int(np.argmin(dist[qi, lo : ends[segment]]))
-                matches.setdefault(int(segment), []).append(
-                    MatchRecord(
-                        query=entries[first + qi],
-                        reference=all_entries[row],
-                        distance=int(per_image[qi, segment]),
-                    )
-                )
-    n_query = len(entries)
-    image_scores = [
-        ImageScore(
-            image_id=segment_image_ids[segment],
-            votes=int(votes[segment]),
-            score=int(votes[segment]) / n_query,
-            matches=matches.get(int(segment), []),
-        )
-        for segment in np.nonzero(votes)[0]
-    ]
-    image_scores.sort(key=lambda s: (-s.score, s.image_id))
-    return image_scores
+    def add(self, entries: Sequence[DescriptorEntry]) -> None:
+        if not entries:
+            return
+        words = self._words(stack_descriptors(entries))
+        lo = len(self._entries)
+        hi = lo + words.shape[0]
+        if self._columns is None or hi > self._columns.shape[1]:
+            grown = np.empty((words.shape[1], max(2 * lo, hi)), dtype=np.uint64)
+            if lo:
+                grown[:, :lo] = self._columns[:, :lo]
+            self._columns = grown
+        self._columns[:, lo:hi] = words.T
+        self._starts.append(lo)
+        self._image_ids.append(entries[0].image_id)
+        self._entries.extend(entries)
+
+    def search_all_batch(self, queries: np.ndarray, tau: int) -> LeafHits:
+        words = self._words(queries)
+        minima = np.empty((len(words), len(self._starts)), dtype=np.int32)
+        if self._starts:
+            starts = np.asarray(self._starts, dtype=np.intp)
+            for first, dist in _distance_blocks(words, self._columns[:, : len(self._entries)]):
+                np.minimum.reduceat(dist, starts, axis=1, out=minima[first : first + len(dist)])
+        query, segment = np.nonzero(minima <= tau)
+        image_id = np.asarray(self._image_ids, dtype=np.int64)[segment]
+        return LeafHits(query, segment, image_id, minima[query, segment], leaves=[])
+
+    def hit_references(
+        self, hits: LeafHits, which: np.ndarray, queries: np.ndarray
+    ) -> list[DescriptorEntry]:
+        """Per hit in ``which``, its image's first row at the hit's distance,
+        the earliest insertion among the closest. Each image's rows are
+        matched against all of its voters at once, in kernel blocks."""
+        segment, query, distance = hits.position[which], hits.query[which], hits.distance[which]
+        words = _to_words(queries)
+        ends = self._starts[1:] + [len(self._entries)]
+        rows = np.empty(len(segment), dtype=np.intp)
+        for image in np.unique(segment).tolist():
+            group = np.flatnonzero(segment == image)
+            lo = self._starts[image]
+            stored = self._columns[:, lo : ends[image]]
+            for first, dist in _distance_blocks(words[query[group]], stored):
+                part = group[first : first + dist.shape[0]]
+                rows[part] = lo + np.argmax(dist == distance[part, None], axis=1)
+        return [self._entries[row] for row in rows.tolist()]
 
 
 # ----------------------------------------------------------------------

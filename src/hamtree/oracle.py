@@ -295,23 +295,29 @@ def make_noisy_duplicate_corpus(
         raise ValueError(f"max_flips {max_flips} exceeds dim_bits {dim_bits}")
     rng = np.random.default_rng(seed)
     refs: list[DescriptorEntry] = []
-    queries: list[DescriptorEntry] = []
     for image in range(num_images):
         matrix = random_descriptors(descriptors_per_image, dim_bits, rng)
         for kp in range(descriptors_per_image):
             refs.append(DescriptorEntry(matrix[kp], image, kp))
+    return _noisy_queries(refs, dim_bits, max_flips, rng), refs
+
+
+def _noisy_queries(
+    refs: Sequence[DescriptorEntry], dim_bits: int, max_flips: int, rng: np.random.Generator
+) -> list[DescriptorEntry]:
+    """One query per reference: a copy with f in [0, max_flips] distinct bits
+    flipped and its image id shifted past the largest reference image id."""
+    n_images = max((ref.image_id for ref in refs), default=-1) + 1
     flip_counts = rng.integers(0, max_flips + 1, size=len(refs))
-    for i, ref in enumerate(refs):
-        f = int(flip_counts[i])
+    queries = []
+    for ref, f in zip(refs, flip_counts.tolist()):
         positions = rng.choice(dim_bits, size=f, replace=False) if f else ()
         queries.append(
             DescriptorEntry(
-                flip_bits(ref.descriptor, positions),
-                num_images + ref.image_id,
-                ref.keypoint_id,
+                flip_bits(ref.descriptor, positions), n_images + ref.image_id, ref.keypoint_id
             )
         )
-    return queries, refs
+    return queries
 
 
 def write_bitwise_csv(path, per_bit_by_tau: Mapping[int, np.ndarray]) -> None:

@@ -68,9 +68,10 @@ def query_image(
     smaller image_id. The query entries must all belong to one image, and the
     tree is expected not to contain that image.
 
-    All queries are answered by one batched leaf scan and the votes counted
-    over the hit arrays, so the cost per keypoint is its descent plus a share
-    of a few vectorized passes.
+    ``tree`` is a ``HammingTree`` or the exhaustive index behind
+    ``run_protocol_brute_force``. Either answers all queries in one
+    ``search_all_batch`` call; the votes are counted over its hit arrays, and
+    ``hit_references`` looks up the voted entries only to collect matches.
     """
     if config is None:
         config = RetrievalConfig()
@@ -80,7 +81,8 @@ def query_image(
         return []
     if len({e.image_id for e in query_entries}) != 1:
         raise ValueError("query entries span several images")
-    hits = tree.search_all_batch(stack_descriptors(query_entries), config.tau)
+    queries = stack_descriptors(query_entries)
+    hits = tree.search_all_batch(queries, config.tau)
     images, image_code = np.unique(hits.image_id, return_inverse=True)
     # A vote is a distinct (query, image) pair among the hits.
     pair = hits.query * len(images) + image_code
@@ -97,13 +99,11 @@ def query_image(
     matches: list[list[MatchRecord]] = [[] for _ in range(len(images))]
     if collect_matches:
         # ``voted`` runs in query order, so each image's list does too.
-        for q, i, d, k in zip(
-            hits.query[voted].tolist(), hits.position[voted].tolist(),
+        for q, reference, d, k in zip(
+            hits.query[voted].tolist(), tree.hit_references(hits, voted, queries),
             hits.distance[voted].tolist(), image_code[voted].tolist(),
         ):
-            matches[k].append(MatchRecord(
-                query=query_entries[q], reference=hits.leaves[q].entries[i], distance=d
-            ))
+            matches[k].append(MatchRecord(query=query_entries[q], reference=reference, distance=d))
     n_query = len(query_entries)
     scores = [
         ImageScore(image_id=image, votes=count, score=count / n_query, matches=found)

@@ -101,7 +101,7 @@ class LeafNode:
         self.entries: list[DescriptorEntry] = list(entries)
         self._dim_bits = dim_bits
         self._packed = _stack_checked(self.entries, descriptor_nbytes(dim_bits))
-        self._image_ids = np.array([e.image_id for e in self.entries], dtype=np.int64)
+        self._image_ids = _image_id_column(self.entries)
 
     @classmethod
     def _from_columns(
@@ -129,8 +129,12 @@ class LeafNode:
             capacity = max(8, 2 * n)
             self._packed = _grown(self._packed, capacity)
             self._image_ids = _grown(self._image_ids, capacity)
+        # The id goes first: one outside int64 leaves the entries untouched.
+        try:
+            self._image_ids[n] = entry.image_id
+        except OverflowError:
+            raise _image_id_error(entry.image_id) from None
         self._packed[n] = entry.descriptor
-        self._image_ids[n] = entry.image_id
         self.entries.append(entry)
 
     def packed(self) -> np.ndarray:
@@ -168,6 +172,20 @@ def _bit_counts(packed: np.ndarray, dim_bits: int) -> np.ndarray:
         block = unpack_bits(packed[lo : lo + rows], dim_bits)
         counts += block.sum(axis=0, dtype=np.int32)
     return counts
+
+
+def _image_id_error(image_id: int) -> ValueError:
+    return ValueError(f"image_id {image_id} does not fit the int64 image-id column")
+
+
+def _image_id_column(entries: Sequence[DescriptorEntry]) -> np.ndarray:
+    """The entries' image ids as an int64 column; ValueError for one outside int64."""
+    ids = [e.image_id for e in entries]
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        bad = next(i for i in ids if not -(2**63) <= i < 2**63)
+        raise _image_id_error(bad) from None
 
 
 def _grown(column: np.ndarray, capacity: int) -> np.ndarray:
@@ -222,6 +240,7 @@ class LeafHits:
     query row ``query[i]`` reached, at Hamming distance ``distance[i]``;
     ``image_id[i]`` is that entry's image id. Hits are ordered by query, then
     by insertion order within the leaf, as ``search_all`` returns them.
+    ``hit_references`` of the index that made the hits gives their entries.
     """
 
     query: np.ndarray
@@ -321,7 +340,7 @@ class HammingTree:
         matrix = _stack_checked(entries, descriptor_nbytes(dim_bits))
         column = np.empty(len(entries), dtype=object)
         column[:] = entries
-        image_ids = np.array([e.image_id for e in entries], dtype=np.int64)
+        image_ids = _image_id_column(entries)
         tree.root = tree._build_recursive(
             (column, matrix, image_ids),
             np.arange(len(entries)),
@@ -487,6 +506,13 @@ class HammingTree:
             lo = hi
         return LeafHits(*(np.concatenate(cols) for cols in zip(*parts)), leaves=leaves)
 
+    def hit_references(
+        self, hits: LeafHits, which: np.ndarray, queries: np.ndarray
+    ) -> list[DescriptorEntry]:
+        """Stored entries of hits ``which`` (indices into the hits of ``queries``)."""
+        pairs = zip(hits.query[which].tolist(), hits.position[which].tolist())
+        return [hits.leaves[q].entries[i] for q, i in pairs]
+
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
@@ -505,6 +531,11 @@ class HammingTree:
         leaf.append(entry)
         self.count += 1
         self._maybe_split(leaf, path)
+
+    def add(self, entries: Sequence[DescriptorEntry]) -> None:
+        """Insert ``entries`` one by one, in order."""
+        for entry in entries:
+            self.insert(entry)
 
     def _maybe_split(self, leaf: LeafNode, path: list[InternalNode]) -> None:
         cfg = self.config
@@ -541,8 +572,7 @@ class HammingTree:
                     f"entries span several images: {sorted(image_ids)}"
                 )
         results = [self.search_nearest(e, tau) for e in entries]
-        for e in entries:
-            self.insert(e)
+        self.add(entries)
         return results
 
     # ------------------------------------------------------------------
@@ -578,16 +608,7 @@ class HammingTree:
 
     def leaf_entries(self) -> list[DescriptorEntry]:
         """All stored entries, left-to-right, leaf order preserved."""
-        out: list[DescriptorEntry] = []
-        stack: list[TreeNode] = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, LeafNode):
-                out.extend(node.entries)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
+        return [entry for leaf, _ in self._iter_leaves() for entry in leaf.entries]
 
     def structurally_equal(self, other: "HammingTree") -> bool:
         """Node-for-node equality, including entry order within leaves."""

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from hamtree import read_descriptor_file
+from hamtree import DescriptorEntry, read_descriptor_file, write_descriptor_file
+from hamtree.descriptor import flip_bits
 from hamtree.cli import main
 
 
@@ -235,6 +236,40 @@ def test_completeness_emits_both_csvs(tmp_path):
         depth, tau, _, predicted = line.split(",")
         expected = float(np.mean(per_bit[int(tau)])) ** int(depth)
         assert abs(float(predicted) - expected) < 1e-5
+
+
+def reference_cli_noisy_queries(refs, dim_bits, max_flips, seed):
+    """The query loop ``completeness`` ran itself before it shared
+    ``make_noisy_duplicate_corpus``'s generator, kept as the reference."""
+    rng = np.random.default_rng(seed)
+    n_images = max(e.image_id for e in refs) + 1
+    queries = []
+    flip_counts = rng.integers(0, max_flips + 1, size=len(refs))
+    for i, ref in enumerate(refs):
+        f = int(flip_counts[i])
+        positions = rng.choice(dim_bits, size=f, replace=False) if f else ()
+        queries.append(
+            DescriptorEntry(
+                flip_bits(ref.descriptor, positions),
+                n_images + ref.image_id,
+                ref.keypoint_id,
+            )
+        )
+    return queries
+
+
+def test_completeness_default_queries_equal_the_reference_cli_loop(tmp_path):
+    corpus, _ = gen_corpus(tmp_path, images=3, per_image=40, dim=64)
+    refs, dim_bits = read_descriptor_file(corpus)
+    query_file = tmp_path / "queries.hbd"
+    write_descriptor_file(query_file, reference_cli_noisy_queries(refs, dim_bits, 9, 17), dim_bits)
+    common = ("--input", corpus, "--taus", "4,9", "--depths", "0-3")
+    assert run("completeness", *common, "--max-flips", 9, "--seed", 17,
+               "--bits-csv", tmp_path / "b1.csv", "--depth-csv", tmp_path / "d1.csv") == 0
+    assert run("completeness", *common, "--query", query_file,
+               "--bits-csv", tmp_path / "b2.csv", "--depth-csv", tmp_path / "d2.csv") == 0
+    assert (tmp_path / "b1.csv").read_bytes() == (tmp_path / "b2.csv").read_bytes()
+    assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
 
 
 def test_completeness_tau_out_of_range_exits_one(tmp_path):

@@ -8,10 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hamtree.descriptor
+import hamtree.evaluation
 from hamtree import (
     GroundTruth,
     GroundTruthParams,
@@ -205,26 +206,6 @@ def test_brute_force_protocol_collects_matches_when_asked():
     assert all(m.reference.image_id == 0 for m in score.matches)
 
 
-def test_tree_and_brute_force_protocols_agree_on_single_leaf_config():
-    spec = SyntheticSpec(
-        num_images=6,
-        descriptors_per_image=30,
-        dim_bits=256,
-        loop_pairs=[(4, 1, 0.6)],
-        noise_bits=4,
-        seed=13,
-    )
-    images, _ = generate_sequence(spec)
-    tree_result = run_protocol(
-        images, TreeConfig(tau=25, n_max=10_000), RetrievalConfig(tau=25)
-    )
-    bf_result = run_protocol_brute_force(images, RetrievalConfig(tau=25))
-    for tree_scores, bf_scores in zip(tree_result.scores, bf_result.scores):
-        assert [(s.image_id, s.votes) for s in tree_scores] == [
-            (s.image_id, s.votes) for s in bf_scores
-        ]
-
-
 def reference_brute_force_protocol(images, tau, collect_matches):
     """The brute-force protocol before the word kernel, as the reference.
 
@@ -341,6 +322,48 @@ def test_brute_force_protocol_equals_encoded_reduceat_reference(
     assert len(result.seconds) == len(images)
 
 
+SINGLE_LEAF_FIXED_CASE = (
+    generate_sequence(SyntheticSpec(
+        num_images=6,
+        descriptors_per_image=30,
+        dim_bits=256,
+        loop_pairs=[(4, 1, 0.6)],
+        noise_bits=4,
+        seed=13,
+    ))[0],
+    25,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=brute_force_cases(), collect_matches=st.booleans(), hardware_popcount=st.booleans())
+@example(case=SINGLE_LEAF_FIXED_CASE, collect_matches=False, hardware_popcount=True)
+@example(case=SINGLE_LEAF_FIXED_CASE, collect_matches=True, hardware_popcount=False)
+def test_tree_and_brute_force_protocols_agree_on_single_leaf_config(
+    case, collect_matches, hardware_popcount
+):
+    # A tree whose n_max exceeds the corpus never splits, so its one leaf
+    # is scanned in full, as the exhaustive index is: both protocols cast
+    # the same votes, and collected matches are the same stored objects,
+    # the earliest-inserted among equally close ones.
+    images, tau = case
+    # Only an all-empty sequence lacks a width; any tree then holds nothing.
+    nbytes = max((len(e.descriptor) for entries in images for e in entries), default=32)
+    with mock.patch.object(
+        hamtree.descriptor, "_HAS_BITWISE_COUNT",
+        hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
+    ):
+        tree_result = run_protocol(
+            images, TreeConfig(tau=tau, n_max=10_000), RetrievalConfig(tau=tau),
+            dim_bits=8 * nbytes, collect_matches=collect_matches,
+        )
+        bf_result = run_protocol_brute_force(
+            images, RetrievalConfig(tau=tau), collect_matches=collect_matches
+        )
+    assert score_records(tree_result.scores) == score_records(bf_result.scores)
+    assert len(tree_result.seconds) == len(bf_result.seconds) == len(images)
+
+
 def test_brute_force_protocol_memory_stays_under_the_chunk_cap():
     # 500 queries against up to 2500 stored rows: the encoded per-image
     # (n_q x N) int64 matrix would be 10 MB, 40 times the cap.
@@ -359,6 +382,18 @@ def test_brute_force_protocol_memory_stays_under_the_chunk_cap():
     # One block's buffers under the cap, plus the stored corpus (8 bytes a
     # row, at most twice over after a doubling), the entry list and scores.
     assert peak < 3 * cap
+
+
+def test_brute_force_protocol_resolves_rows_only_for_collected_matches():
+    rng = np.random.default_rng(132)
+    matrix = random_descriptors(20, 64, rng)
+    images = [make_entries(matrix, image_id=i) for i in range(4)]
+    resolve = mock.Mock(side_effect=AssertionError("rows resolved"))
+    with mock.patch.object(hamtree.evaluation._ExhaustiveIndex, "hit_references", resolve):
+        result = run_protocol_brute_force(images, RetrievalConfig(tau=0))
+    assert [len(s) for s in result.scores] == [0, 1, 2, 3]
+    assert all(s.votes == 20 and not s.matches for scores in result.scores for s in scores)
+    resolve.assert_not_called()
 
 
 def test_protocol_rejects_non_contiguous_image_ids():

@@ -167,6 +167,15 @@ def test_build_mixed_widths_raises():
         HammingTree.build_balanced(entries, TreeConfig(), 256)
 
 
+@pytest.mark.parametrize("image_id", [2**70, -(2**63) - 1])
+def test_build_rejects_an_image_id_outside_int64(image_id):
+    rng = np.random.default_rng(36)
+    entries = make_entries(random_descriptors(30, 16, rng))
+    entries[17].image_id = image_id
+    with pytest.raises(ValueError, match="image_id"):
+        HammingTree.build_balanced(entries, TreeConfig(tau=4, n_max=4), 16)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TreeConfig(tau=300).validate(256)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from hamtree import HammingTree, InternalNode, LeafNode, TreeConfig, random_descriptors
 
@@ -110,3 +111,31 @@ def test_insert_width_mismatch_raises():
     (entry,) = make_entries(random_descriptors(1, 128, rng))
     with pytest.raises(ValueError):
         tree.insert(entry)
+
+
+@pytest.mark.parametrize("image_id", [2**70, -(2**63) - 1])
+def test_insert_rejects_an_image_id_outside_int64_and_leaves_the_tree_alone(image_id):
+    rng = np.random.default_rng(55)
+    tree = HammingTree(16, TreeConfig(tau=4, n_max=4))
+    tree.add(make_entries(random_descriptors(40, 16, rng)))
+    before = tree.leaf_entries()
+    # Leaves at every fill level, full ones included (their columns regrow).
+    for row in random_descriptors(12, 16, rng):
+        (entry,) = make_entries(row[None, :], start_kp=99)
+        entry.image_id = image_id
+        with pytest.raises(ValueError, match="image_id"):
+            tree.insert(entry)
+        assert tree.count == 40
+        assert [id(e) for e in tree.leaf_entries()] == [id(e) for e in before]
+    assert_tree_invariants(tree)
+    (ok,) = make_entries(random_descriptors(1, 16, rng), start_kp=40)
+    tree.insert(ok)
+    assert tree.count == 41
+
+
+@pytest.mark.parametrize("image_id", [2**70, -(2**63) - 1])
+def test_leaf_node_rejects_an_image_id_outside_int64(image_id):
+    entries = make_entries(np.zeros((3, 2), dtype=np.uint8))
+    entries[1].image_id = image_id
+    with pytest.raises(ValueError, match="image_id"):
+        LeafNode(16, entries)
