@@ -46,7 +46,6 @@ from .io import (
 from .oracle import (
     BruteForceMatcher,
     _noisy_queries,
-    bitwise_completeness,
     depth_completeness,
     write_bitwise_csv,
     write_depth_csv,
@@ -194,7 +193,7 @@ def _cmd_protocol(args) -> int:
     images = _group_by_image(entries)
     if args.eval and args.truth is None and not args.compute_truth:
         raise UsageError("--eval requires --truth CSV or --compute-truth")
-    retrieval_config = RetrievalConfig(tau=args.tau, tau_image=args.tau_image)
+    retrieval_config = RetrievalConfig(tau=args.tau)
     if args.engine == "bruteforce":
         result: ProtocolResult = run_protocol_brute_force(images, retrieval_config)
     else:
@@ -258,9 +257,8 @@ def _cmd_completeness(args) -> int:
     else:
         max_flips = args.max_flips if args.max_flips is not None else max(taus)
         queries = _noisy_queries(refs, dim_bits, max_flips, np.random.default_rng(args.seed))
-    per_bit = bitwise_completeness(queries, refs, taus, dim_bits)
-    write_bitwise_csv(args.bits_csv, per_bit)
     reports = depth_completeness(queries, refs, taus, depths, dim_bits)
+    write_bitwise_csv(args.bits_csv, {r.tau: r.per_bit for r in reports})
     write_depth_csv(args.depth_csv, reports)
     print(
         f"completeness over {len(queries)} queries / {len(refs)} references -> "
@@ -283,8 +281,7 @@ def _cmd_tree_build(args) -> int:
         raise UsageError(str(exc)) from exc
     if args.incremental:
         tree = HammingTree(dim_bits, config)
-        for entry in entries:
-            tree.insert(entry)
+        tree.add(entries)
     else:
         tree = HammingTree.build_balanced(entries, config, dim_bits)
     save_tree(args.output, tree)
@@ -356,7 +353,6 @@ def _build_parser() -> _Parser:
     protocol.add_argument("--nmax", type=int, default=10)
     protocol.add_argument("--delta-max", type=float, default=0.1)
     protocol.add_argument("--tau", type=int, default=25)
-    protocol.add_argument("--tau-image", type=float, default=0.1)
     protocol.add_argument("--timing-csv", required=True)
     protocol.add_argument("--scores-csv", default=None)
     protocol.add_argument("--eval", action="store_true", help="emit a PR curve")

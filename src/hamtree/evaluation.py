@@ -22,13 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .descriptor import (
-    DescriptorEntry,
-    _distance_blocks,
-    _to_words,
-    pairwise_hamming,
-    stack_descriptors,
-)
+from .descriptor import DescriptorEntry, _distance_blocks, _to_words, stack_descriptors
 from .retrieval import ImageScore, RetrievalConfig, query_image
 from .tree import HammingTree, LeafHits, TreeConfig
 
@@ -148,29 +142,24 @@ def build_ground_truth(
     Pose gate (only when poses are given): camera positions closer than
     max_distance_m and optical axes within max_angle_deg. Descriptor gate:
     strictly more than min_match_fraction of q's descriptors have a
-    brute-force match within tau among image i's descriptors. Without poses
+    brute-force match within tau among image i's descriptors, which is
+    image i's vote count from q in the brute-force protocol. Without poses
     (synthetic data) only the descriptor gate applies.
     """
     if params is None:
         params = GroundTruthParams()
-    _validate_images(images)
     pose_by_id: dict[int, PoseRecord] | None = None
     if poses is not None:
         pose_by_id = {p.image_id: p for p in poses}
         missing = [i for i in range(len(images)) if i not in pose_by_id]
         if missing:
             raise ValueError(f"poses missing for images {missing[:5]}")
-    matrices = [
-        stack_descriptors(entries) if entries else None for entries in images
-    ]
+    votes = _run(images, _ExhaustiveIndex(), RetrievalConfig(tau=params.tau), False).scores
     cos_limit = math.cos(math.radians(params.max_angle_deg))
     pairs: set[tuple[int, int]] = set()
-    for q in range(len(images)):
-        if matrices[q] is None:
-            continue
-        for i in range(q):
-            if matrices[i] is None:
-                continue
+    for q, scores in enumerate(votes):
+        for score in scores:
+            i = score.image_id
             if pose_by_id is not None:
                 pq, pi = pose_by_id[q], pose_by_id[i]
                 if np.linalg.norm(pq.position - pi.position) >= params.max_distance_m:
@@ -178,9 +167,7 @@ def build_ground_truth(
                 cos_angle = float(np.dot(pq.optical_axis, pi.optical_axis))
                 if np.clip(cos_angle, -1.0, 1.0) <= cos_limit:
                     continue
-            dists = pairwise_hamming(matrices[q], matrices[i])
-            matched = int((dists.min(axis=1) <= params.tau).sum())
-            if matched > params.min_match_fraction * matrices[q].shape[0]:
+            if score.votes > params.min_match_fraction * len(images[q]):
                 pairs.add((q, i))
     return GroundTruth(pairs=pairs, params=params)
 
@@ -208,7 +195,9 @@ def run_protocol(
     if dim_bits is None:
         first = next((e for entries in images for e in entries), None)
         if first is None:
-            raise ValueError("protocol needs at least one descriptor")
+            # No descriptor gives a width, and with nothing stored every
+            # image scores nothing on any index.
+            return _run(images, _ExhaustiveIndex(), retrieval_config, collect_matches)
         dim_bits = 8 * int(np.asarray(first.descriptor).shape[0])
     tree = HammingTree(dim_bits, tree_config)
     return _run(images, tree, retrieval_config, collect_matches)

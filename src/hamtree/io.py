@@ -11,9 +11,9 @@ node structure in preorder, one tag byte per node (0 = leaf, 1 = internal).
 An internal node is followed by its u16 bit index, then its left and right
 subtrees; a leaf by a u32 entry count and that many records in the
 descriptor-file record layout. Deserializing a serialized tree reproduces it
-node for node, including entry order within leaves; a stream whose tree breaks
-the routing invariant (a bit repeated on a path, or a leaf row that disagrees
-with its path) is rejected.
+node for node, including entry order within leaves; a stream whose tree fails
+``HammingTree.check_invariants`` (a bit repeated on a path, or a leaf row that
+disagrees with its path) is rejected.
 
 Both formats share one record codec that converts between a record array and
 an entry list column by column, so no per-record Python loop remains.
@@ -193,9 +193,7 @@ def serialize_tree(tree: HammingTree) -> bytes:
     nbytes = _check_file_width(tree.dim_bits)
     out = bytearray(TREE_MAGIC)
     out += struct.pack("<BI", TREE_VERSION, tree.dim_bits)
-    stack: list[TreeNode] = [tree.root]
-    while stack:
-        node = stack.pop()
+    for node, _ in tree._walk():
         if isinstance(node, LeafNode):
             packed = node.packed()
             if packed.shape[1] != nbytes:
@@ -204,8 +202,6 @@ def serialize_tree(tree: HammingTree) -> bytes:
             out += _encode_records(node.entries, packed).tobytes()
         else:
             out += struct.pack("<BH", 1, node.bit_index)
-            stack.append(node.right)
-            stack.append(node.left)
     return bytes(out)
 
 
@@ -239,10 +235,9 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
     config to continue inserting under; otherwise the default config is
     used, with tau capped at the stream's width.
 
-    A stream that is malformed, or whose tree could not be searched
-    correctly, raises FormatError: a bit index repeated on a root-to-leaf
-    path, or a leaf holding a descriptor whose bits disagree with the path
-    to that leaf.
+    A stream that is malformed, or whose tree fails
+    ``HammingTree.check_invariants`` and so could not be searched correctly,
+    raises FormatError.
     """
     cursor = _Cursor(data)
     (magic,) = cursor.take(f"{len(TREE_MAGIC)}s")
@@ -255,12 +250,6 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
         raise FormatError(f"invalid dim_bits {dim_bits}")
     dtype = _record_dtype(dim_bits // 8)
 
-    # The split tests on the path to the node being parsed, root first, and
-    # the set of their bits.
-    path_bits: list[int] = []
-    path_sides: list[int] = []
-    on_path: set[int] = set()
-
     def parse_one() -> TreeNode:
         (tag,) = cursor.take("<B")
         if tag == 1:
@@ -269,53 +258,45 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
                 raise FormatError(
                     f"bit index {bit_index} out of range for {dim_bits}-bit tree"
                 )
-            if bit_index in on_path:
-                raise FormatError(f"bit index {bit_index} repeats on a root-to-leaf path")
             return InternalNode(bit_index, None, None)  # children attached below
         if tag != 0:
             raise FormatError(f"unknown node tag {tag}")
         (count,) = cursor.take("<I")
         records = cursor.take_records(dtype, count)
-        packed = np.array(records["payload"])
-        if count and path_bits:
-            # Each row's bits at the path's split indices must equal the path.
-            bits = np.array(path_bits)
-            shifts = (bits & 7).astype(np.uint8)
-            if not ((packed[:, bits >> 3] >> shifts) & 1 == path_sides).all():
-                raise FormatError("a leaf holds a descriptor that does not route to it")
         return LeafNode._from_columns(
-            dim_bits, _decode_records(records), packed, records["image_id"].astype(np.int64)
+            dim_bits, _decode_records(records), np.array(records["payload"]),
+            records["image_id"].astype(np.int64),
         )
 
     # The stream is preorder, so each internal node is followed by its left
-    # subtree, then its right; a stack of pending (parent, side, depth) slots
-    # reproduces that without recursing (paths can be up to dim_bits long).
+    # subtree, then its right; a stack of pending (parent, side) slots
+    # reproduces that without recursing (a hostile stream can nest deeply).
     root = parse_one()
-    pending: list[tuple[InternalNode, int, int]] = []
+    pending: list[tuple[InternalNode, int]] = []
     if isinstance(root, InternalNode):
-        pending = [(root, 1, 1), (root, 0, 1)]
+        pending = [(root, 1), (root, 0)]
     while pending:
-        parent, side, depth = pending.pop()
-        on_path.difference_update(path_bits[depth - 1 :])
-        del path_bits[depth - 1 :], path_sides[depth - 1 :]
-        path_bits.append(parent.bit_index)
-        path_sides.append(side)
-        on_path.add(parent.bit_index)
+        parent, side = pending.pop()
         node = parse_one()
         if side:
             parent.right = node
         else:
             parent.left = node
         if isinstance(node, InternalNode):
-            pending.append((node, 1, depth + 1))
-            pending.append((node, 0, depth + 1))
+            pending.append((node, 1))
+            pending.append((node, 0))
     if cursor.offset != len(data):
         raise FormatError(
             f"{len(data) - cursor.offset} trailing bytes after tree stream"
         )
     if config is None:
         config = TreeConfig(tau=min(TreeConfig().tau, dim_bits))
-    return HammingTree(dim_bits, config, root=root)
+    tree = HammingTree(dim_bits, config, root=root)
+    try:
+        tree.check_invariants()
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+    return tree
 
 
 def save_tree(path, tree: HammingTree) -> None:

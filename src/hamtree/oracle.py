@@ -212,7 +212,6 @@ def depth_completeness(
     tau_list: Sequence[int],
     depths: Sequence[int],
     dim_bits: int | None = None,
-    delta_max: float = 0.5,
 ) -> list[CompletenessReport]:
     """Measured vs predicted completeness over a family of balanced trees.
 
@@ -246,9 +245,8 @@ def depth_completeness(
             for tau in taus:
                 measured[tau][0] = 1.0
             continue
-        config = TreeConfig(
-            tau=min(tau_max, dim_bits), delta_max=delta_max, n_max=1, max_depth=h
-        )
+        # delta_max 0.5 admits every bit, so the depth bound alone stops splits.
+        config = TreeConfig(tau=min(tau_max, dim_bits), delta_max=0.5, n_max=1, max_depth=h)
         tree = HammingTree.build_balanced(refs, config, dim_bits)
         hits = tree.search_all_batch(q_matrix, min(tau_max, dim_bits))
         for tau in taus:

@@ -41,16 +41,14 @@ class ImageScore:
 
 @dataclass(slots=True)
 class RetrievalConfig:
-    """Descriptor-level threshold and image-level acceptance score."""
+    """Descriptor-level match threshold; ``retrieve_above`` takes the
+    image-level acceptance score."""
 
     tau: int = 25
-    tau_image: float = 0.1
 
     def validate(self) -> None:
         if self.tau < 0:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
-        if not 0.0 <= self.tau_image <= 1.0:
-            raise ValueError(f"tau_image must be in [0, 1], got {self.tau_image}")
 
 
 def query_image(

@@ -23,9 +23,9 @@ from .descriptor import (
     DescriptorEntry,
     descriptor_nbytes,
     descriptor_to_int,
+    _bit_counts,
     _row_popcount,
     _stack_checked,
-    unpack_bits,
 )
 
 __all__ = [
@@ -45,12 +45,6 @@ __all__ = [
 # query whose leaf alone is larger is scanned on its own), so an oversize
 # leaf reached by many queries cannot blow up memory.
 _SCAN_CHUNK_BYTES = 1 << 23
-
-# Unpacked bytes per block when ``build_balanced`` counts set bits. Unpacking
-# a whole 1e5 x 256-bit corpus at once makes a 25.6 MB temporary, and freed
-# blocks that large raise glibc's mmap threshold, so later ones stay in the
-# heap and the process keeps them as resident memory.
-_COUNT_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(slots=True)
@@ -146,8 +140,7 @@ class LeafNode:
         return self._image_ids[: len(self.entries)]
 
     def statistics(self) -> BitStatistics:
-        bits = unpack_bits(self.packed(), self._dim_bits)
-        return BitStatistics(counts=bits.sum(axis=0, dtype=np.int64), total=len(self))
+        return BitStatistics(counts=_bit_counts(self.packed(), self._dim_bits), total=len(self))
 
     def _subset(self, mask: np.ndarray) -> "LeafNode":
         """A new leaf holding the rows where ``mask`` is True, in order."""
@@ -157,21 +150,6 @@ class LeafNode:
             self.packed()[mask],
             self.image_ids()[mask],
         )
-
-
-def _bit_counts(packed: np.ndarray, dim_bits: int) -> np.ndarray:
-    """Per-bit set counts over the rows of a packed (n, W) matrix.
-
-    Rows are unpacked in blocks of about ``_COUNT_BLOCK_BYTES``, so no
-    (n, dim_bits) temporary is made. The int32 sums run about twice as fast
-    as int64 ones, and a count never exceeds the number of rows.
-    """
-    counts = np.zeros(dim_bits, dtype=np.int32)
-    rows = max(1, _COUNT_BLOCK_BYTES // dim_bits)
-    for lo in range(0, packed.shape[0], rows):
-        block = unpack_bits(packed[lo : lo + rows], dim_bits)
-        counts += block.sum(axis=0, dtype=np.int32)
-    return counts
 
 
 def _image_id_error(image_id: int) -> ValueError:
@@ -541,12 +519,11 @@ class HammingTree:
         cfg = self.config
         if len(leaf) <= cfg.n_max or len(path) >= cfg.depth_limit(self.dim_bits):
             return
-        bits = unpack_bits(leaf.packed(), self.dim_bits)
-        stats = BitStatistics(counts=bits.sum(axis=0, dtype=np.int64), total=len(leaf))
-        bit = select_split_bit(stats, {node.bit_index for node in path}, cfg.delta_max)
+        forbidden = {node.bit_index for node in path}
+        bit = select_split_bit(leaf.statistics(), forbidden, cfg.delta_max)
         if bit is None:
             return
-        right = bits[:, bit] == 1
+        right = (leaf.packed()[:, bit >> 3] >> (bit & 7)) & 1 == 1
         node = InternalNode(bit, leaf._subset(~right), leaf._subset(right))
         if not path:
             self.root = node
@@ -579,15 +556,53 @@ class HammingTree:
     # Introspection
     # ------------------------------------------------------------------
 
-    def _iter_leaves(self) -> Iterator[tuple[LeafNode, int]]:
-        stack: list[tuple[TreeNode, int]] = [(self.root, 0)]
+    def _walk(self) -> Iterator[tuple[TreeNode, list[tuple[int, int]]]]:
+        """Every node in preorder, left subtree first (the tree stream's
+        order), with the ``(bit_index, side)`` splits on its path from the
+        root; side 0 is left. The path list is shared and changes as the
+        walk resumes, so a caller keeps a copy if it needs one."""
+        path: list[tuple[int, int]] = []
+        # Pending (node, depth, split that leads to it); the root has none.
+        stack: list[tuple[TreeNode, int, tuple[int, int] | None]] = [(self.root, 0, None)]
         while stack:
-            node, depth = stack.pop()
+            node, depth, split = stack.pop()
+            if split is not None:
+                del path[depth - 1 :]
+                path.append(split)
+            yield node, path
+            if isinstance(node, InternalNode):
+                stack.append((node.right, depth + 1, (node.bit_index, 1)))
+                stack.append((node.left, depth + 1, (node.bit_index, 0)))
+
+    def _iter_leaves(self) -> Iterator[tuple[LeafNode, int]]:
+        for node, path in self._walk():
             if isinstance(node, LeafNode):
-                yield node, depth
-            else:
-                stack.append((node.right, depth + 1))
-                stack.append((node.left, depth + 1))
+                yield node, len(path)
+
+    def check_invariants(self) -> None:
+        """Raise ValueError unless every stored descriptor routes to its leaf.
+
+        A split bit may not repeat on a root-to-leaf path, and every row of a
+        leaf must agree with the leaf's path at each split index. Together
+        they make a stored descriptor retrace its own path, so a search finds
+        it at distance 0. The walk costs amortized O(1) per node, plus one
+        gather per non-empty leaf.
+        """
+        # The path position where each bit was last split. The bit is on the
+        # current path exactly when the path still holds it there; an
+        # ancestor set per node would cost O(depth) per node instead.
+        split_at: dict[int, int] = {}
+        for node, path in self._walk():
+            if isinstance(node, InternalNode):
+                bit = node.bit_index
+                k = split_at.get(bit)
+                if k is not None and k < len(path) and path[k][0] == bit:
+                    raise ValueError(f"bit index {bit} repeats on a root-to-leaf path")
+                split_at[bit] = len(path)
+            elif len(node) and path:
+                bits, sides = np.array(path).T
+                if not ((node.packed()[:, bits >> 3] >> (bits & 7)) & 1 == sides).all():
+                    raise ValueError("a leaf holds a descriptor that does not route to it")
 
     def depth_stats(self) -> DepthStats:
         """Mean / spread / extremes of leaf depth, one sample per leaf."""
@@ -611,24 +626,20 @@ class HammingTree:
         return [entry for leaf, _ in self._iter_leaves() for entry in leaf.entries]
 
     def structurally_equal(self, other: "HammingTree") -> bool:
-        """Node-for-node equality, including entry order within leaves."""
+        """Node-for-node equality, including entry order within leaves.
+
+        The two preorders are compared node by node. Every internal node has
+        two children, so the sequence of node kinds fixes the shape, and two
+        walks that agree up to the end of one end together.
+        """
         if self.dim_bits != other.dim_bits:
             return False
-        stack = [(self.root, other.root)]
-        while stack:
-            a, b = stack.pop()
+        for (a, _), (b, _) in zip(self._walk(), other._walk()):
             if isinstance(a, LeafNode) != isinstance(b, LeafNode):
                 return False
             if isinstance(a, LeafNode):
-                assert isinstance(b, LeafNode)
-                if len(a) != len(b) or any(
-                    x != y for x, y in zip(a.entries, b.entries)
-                ):
+                if len(a) != len(b) or any(x != y for x, y in zip(a.entries, b.entries)):
                     return False
-            else:
-                assert isinstance(b, InternalNode)
-                if a.bit_index != b.bit_index:
-                    return False
-                stack.append((a.left, b.left))
-                stack.append((a.right, b.right))
+            elif a.bit_index != b.bit_index:
+                return False
         return True

@@ -217,3 +217,9 @@ def test_bit_statistics_mixed_width_raises():
         bit_statistics(
             [random_descriptors(1, 128, rng)[0], random_descriptors(1, 256, rng)[0]]
         )
+
+
+@pytest.mark.parametrize("dim_bits", [0, 17])
+def test_bit_statistics_rejects_a_width_the_rows_do_not_hold(dim_bits):
+    with pytest.raises(ValueError, match="dim_bits"):
+        bit_statistics(np.zeros((3, 2), dtype=np.uint8), dim_bits)

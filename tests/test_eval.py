@@ -25,6 +25,7 @@ from hamtree import (
     build_ground_truth,
     generate_sequence,
     max_f1,
+    pairwise_hamming,
     pr_curve,
     random_descriptors,
     run_protocol,
@@ -339,6 +340,7 @@ SINGLE_LEAF_FIXED_CASE = (
 @given(case=brute_force_cases(), collect_matches=st.booleans(), hardware_popcount=st.booleans())
 @example(case=SINGLE_LEAF_FIXED_CASE, collect_matches=False, hardware_popcount=True)
 @example(case=SINGLE_LEAF_FIXED_CASE, collect_matches=True, hardware_popcount=False)
+@example(case=([[], []], 0), collect_matches=True, hardware_popcount=True)
 def test_tree_and_brute_force_protocols_agree_on_single_leaf_config(
     case, collect_matches, hardware_popcount
 ):
@@ -347,21 +349,78 @@ def test_tree_and_brute_force_protocols_agree_on_single_leaf_config(
     # the same votes, and collected matches are the same stored objects,
     # the earliest-inserted among equally close ones.
     images, tau = case
-    # Only an all-empty sequence lacks a width; any tree then holds nothing.
-    nbytes = max((len(e.descriptor) for entries in images for e in entries), default=32)
     with mock.patch.object(
         hamtree.descriptor, "_HAS_BITWISE_COUNT",
         hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
     ):
         tree_result = run_protocol(
             images, TreeConfig(tau=tau, n_max=10_000), RetrievalConfig(tau=tau),
-            dim_bits=8 * nbytes, collect_matches=collect_matches,
+            collect_matches=collect_matches,
         )
         bf_result = run_protocol_brute_force(
             images, RetrievalConfig(tau=tau), collect_matches=collect_matches
         )
     assert score_records(tree_result.scores) == score_records(bf_result.scores)
     assert len(tree_result.seconds) == len(bf_result.seconds) == len(images)
+
+
+def reference_build_ground_truth(images, poses, params):
+    """One ``pairwise_hamming`` matrix per image pair that passes the pose
+    gate, as the ground truth was built before it took the brute-force
+    protocol's votes."""
+    pose_by_id = None if poses is None else {p.image_id: p for p in poses}
+    cos_limit = math.cos(math.radians(params.max_angle_deg))
+    pairs = set()
+    for q in range(len(images)):
+        for i in range(q):
+            if not images[q] or not images[i]:
+                continue
+            if pose_by_id is not None:
+                pq, pi = pose_by_id[q], pose_by_id[i]
+                if np.linalg.norm(pq.position - pi.position) >= params.max_distance_m:
+                    continue
+                cos_angle = float(np.dot(pq.optical_axis, pi.optical_axis))
+                if np.clip(cos_angle, -1.0, 1.0) <= cos_limit:
+                    continue
+            dists = pairwise_hamming(
+                np.stack([e.descriptor for e in images[q]]),
+                np.stack([e.descriptor for e in images[i]]),
+            )
+            matched = int((dists.min(axis=1) <= params.tau).sum())
+            if matched > params.min_match_fraction * len(images[q]):
+                pairs.add((q, i))
+    return pairs
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    case=brute_force_cases(),
+    fraction=st.sampled_from([0.0, 0.1, 1 / 3, 0.5, 1.0]),
+    with_poses=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ground_truth_equals_the_per_pair_reference(case, fraction, with_poses, seed):
+    images, tau = case
+    poses = None
+    if with_poses:
+        # Cameras on a line 0-20 m apart, turned by up to 40 degrees.
+        rng = np.random.default_rng(seed)
+        poses = [
+            PoseRecord(i, np.array([rng.uniform(0, 20), 0.0, 0.0]),
+                       np.array([math.sin(a), 0.0, math.cos(a)]))
+            for i, a in enumerate(rng.uniform(0, math.radians(40), size=len(images)))
+        ]
+    params = GroundTruthParams(min_match_fraction=fraction, tau=tau)
+    got = build_ground_truth(images, poses, params)
+    assert got.pairs == reference_build_ground_truth(images, poses, params)
+    assert got.params is params
+
+
+def test_ground_truth_rejects_a_negative_tau():
+    rng = np.random.default_rng(125)
+    images = [make_entries(random_descriptors(5, 256, rng), image_id=i) for i in range(2)]
+    with pytest.raises(ValueError, match="tau"):
+        build_ground_truth(images, params=GroundTruthParams(tau=-1))
 
 
 def test_brute_force_protocol_memory_stays_under_the_chunk_cap():
