@@ -269,8 +269,9 @@ def _cmd_completeness(args) -> int:
 
 def _cmd_tree_build(args) -> int:
     entries, dim_bits = read_descriptor_file(args.input)
+    # A tree file stores no tau; this one only has to pass validation.
     config = TreeConfig(
-        tau=args.tau,
+        tau=min(TreeConfig().tau, dim_bits),
         delta_max=args.delta_max,
         n_max=args.nmax,
         max_depth=args.max_depth,
@@ -385,7 +386,6 @@ def _build_parser() -> _Parser:
     build = tree_sub.add_parser("build", help="build a tree file from a corpus")
     build.add_argument("--input", required=True)
     build.add_argument("--output", required=True)
-    build.add_argument("--tau", type=int, default=25)
     build.add_argument("--nmax", type=int, default=10)
     build.add_argument("--delta-max", type=float, default=0.1)
     build.add_argument("--max-depth", type=int, default=None)

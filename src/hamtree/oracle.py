@@ -19,10 +19,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .descriptor import (
+    _COUNT_BLOCK_BYTES,
     DescriptorEntry,
     _distance_blocks,
     _to_words,
     _word_columns,
+    descriptor_nbytes,
     flip_bits,
     hamming_distances,
     random_descriptors,
@@ -134,53 +136,46 @@ class CompletenessReport:
     per_depth_predicted: dict[int, float]
 
 
-def _corpus_matrices(
-    queries: Sequence[DescriptorEntry],
-    refs: Sequence[DescriptorEntry],
-    dim_bits: int | None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    q = stack_descriptors(queries)
-    r = stack_descriptors(refs)
-    if q.shape[1] != r.shape[1]:
-        raise ValueError(f"query/reference width mismatch: {q.shape[1]} vs {r.shape[1]}")
-    if dim_bits is None:
-        dim_bits = 8 * q.shape[1]
-    return q, r, dim_bits
+def _count_rows(within: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """(taus, n_rows) counts of the entries of each row that ``within`` marks.
+
+    ``within`` is (taus, entries) and ``rows`` gives each entry's row.
+    """
+    n_taus = within.shape[0]
+    flat = (np.arange(n_taus)[:, None] * n_rows + rows)[within]
+    return np.bincount(flat, minlength=n_taus * n_rows).reshape(n_taus, n_rows)
 
 
-def _feasible_sets(
-    q_matrix: np.ndarray, r_matrix: np.ndarray, taus: Sequence[int]
-) -> list[dict[int, np.ndarray]]:
-    """Per-query reference indices within each tau, from one distance pass."""
-    tau_max = max(taus)
-    sets: list[dict[int, np.ndarray]] = []
-    for _, dists in _distance_blocks(_to_words(q_matrix), _word_columns(r_matrix)):
-        for row in dists:
-            idx = np.nonzero(row <= tau_max)[0]
-            d = row[idx]
-            sets.append({tau: idx[d <= tau] for tau in taus})
-    return sets
+def _completeness_pass(
+    q_matrix: np.ndarray, r_matrix: np.ndarray, taus: Sequence[int], dim_bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per tau, each query's feasible-set size and the per-bit curve.
 
-
-def _bitwise_curves(
-    q_bits: np.ndarray,
-    r_bits: np.ndarray,
-    sets: list[dict[int, np.ndarray]],
-    taus: Sequence[int],
-) -> dict[int, np.ndarray]:
-    n_q, dim_bits = q_bits.shape
-    out: dict[int, np.ndarray] = {}
-    for tau in taus:
-        acc = np.zeros(dim_bits, dtype=np.float64)
-        for qi in range(n_q):
-            feasible = sets[qi][tau]
-            if feasible.size == 0:
-                acc += 1.0
-            else:
-                same_side = r_bits[feasible] == q_bits[qi]
-                acc += same_side.mean(axis=0)
-        out[tau] = acc / n_q
-    return out
+    A query's completeness for a split on bit k is the share of its feasible
+    set on its own side, ``1 - mean(x_k)`` over ``x = q XOR r``, or 1 when
+    the set is empty. So the curve is ``1 - (1/n_q) * sum(w * x_k)`` over
+    the feasible pairs, with ``w = 1 / |F_q(tau)|``. A distance block holds
+    whole query rows, so its pairs are final when it is produced; their XOR
+    bits are unpacked in chunks whose float64 copy stays under
+    ``_COUNT_BLOCK_BYTES``, and nothing of size O(pairs) outlives the block.
+    """
+    n_q = q_matrix.shape[0]
+    sizes = np.empty((len(taus), n_q), dtype=np.int64)
+    lost = np.zeros((len(taus), dim_bits))
+    q_words, r_words = _to_words(q_matrix), _to_words(r_matrix)
+    step = max(1, _COUNT_BLOCK_BYTES // (8 * dim_bits))
+    for start, dists in _distance_blocks(q_words, _word_columns(r_matrix)):
+        qi, ri = np.nonzero(dists <= max(taus))
+        within = dists[qi, ri] <= np.asarray(taus)[:, None]
+        block = _count_rows(within, qi, dists.shape[0])
+        sizes[:, start : start + dists.shape[0]] = block
+        weights = within / np.maximum(block, 1)[:, qi]
+        for lo in range(0, qi.size, step):
+            xor = q_words[start + qi[lo : lo + step]] ^ r_words[ri[lo : lo + step]]
+            lost += weights[:, lo : lo + step] @ unpack_bits(xor.view(np.uint8), dim_bits)
+    # Each w is rounded, so a bit every feasible pair differs on can sum a
+    # hair past n_q; the curve is a mean of values in [0, 1].
+    return sizes, np.clip(1.0 - lost / n_q, 0.0, 1.0)
 
 
 def bitwise_completeness(
@@ -198,12 +193,7 @@ def bitwise_completeness(
     averaged (unweighted) over all queries, one array of length dim_bits per
     tau.
     """
-    q_matrix, r_matrix, dim_bits = _corpus_matrices(queries, refs, dim_bits)
-    sets = _feasible_sets(q_matrix, r_matrix, list(tau_list))
-    return _bitwise_curves(
-        unpack_bits(q_matrix, dim_bits), unpack_bits(r_matrix, dim_bits),
-        sets, list(tau_list),
-    )
+    return {r.tau: r.per_bit for r in depth_completeness(queries, refs, tau_list, (), dim_bits)}
 
 
 def depth_completeness(
@@ -220,59 +210,58 @@ def depth_completeness(
     whose measured completeness is 1 by construction. Measured completeness
     is averaged over all queries; the prediction raises the mean
     single-level completeness to the h-th power. One report per threshold.
+    Raises ValueError unless ``dim_bits`` (default: the full byte width)
+    fits the descriptors' byte width.
     """
-    q_matrix, r_matrix, dim_bits = _corpus_matrices(queries, refs, dim_bits)
+    q_matrix, r_matrix = stack_descriptors(queries), stack_descriptors(refs)
+    if q_matrix.shape[1] != r_matrix.shape[1]:
+        raise ValueError(
+            f"query/reference width mismatch: {q_matrix.shape[1]} vs {r_matrix.shape[1]}"
+        )
+    if dim_bits is None:
+        dim_bits = 8 * r_matrix.shape[1]
+    if descriptor_nbytes(dim_bits) != r_matrix.shape[1]:
+        raise ValueError(
+            f"dim_bits {dim_bits} does not fit {r_matrix.shape[1]}-byte descriptors"
+        )
     taus = list(tau_list)
     depths = sorted(set(int(h) for h in depths))
     if depths and depths[0] < 0:
         raise ValueError(f"depths must be non-negative, got {depths[0]}")
-    sets = _feasible_sets(q_matrix, r_matrix, taus)
-    per_bit = _bitwise_curves(
-        unpack_bits(q_matrix, dim_bits), unpack_bits(r_matrix, dim_bits), sets, taus
-    )
+    feasible, per_bit = _completeness_pass(q_matrix, r_matrix, taus, dim_bits)
     n_q = q_matrix.shape[0]
-    tau_max = max(taus)
-    feasible = {
-        tau: np.array([sets[qi][tau].size for qi in range(n_q)], dtype=np.int64)
-        for tau in taus
-    }
+    tau_max = min(max(taus), dim_bits)
 
     measured: dict[int, dict[int, float]] = {tau: {} for tau in taus}
     for h in depths:
-        if h == 0:
-            # A single leaf holding every reference: its scan returns exactly
-            # each query's feasible set, so the tree is not built.
-            for tau in taus:
-                measured[tau][0] = 1.0
-            continue
-        # delta_max 0.5 admits every bit, so the depth bound alone stops splits.
-        config = TreeConfig(tau=min(tau_max, dim_bits), delta_max=0.5, n_max=1, max_depth=h)
-        tree = HammingTree.build_balanced(refs, config, dim_bits)
-        hits = tree.search_all_batch(q_matrix, min(tau_max, dim_bits))
-        for tau in taus:
-            n_found = np.bincount(hits.query[hits.distance <= tau], minlength=n_q)
-            if np.any(n_found > feasible[tau]):
+        ratio = np.ones(feasible.shape)
+        # A single leaf holding every reference returns exactly each query's
+        # feasible set, so depth 0 is answered without a tree.
+        if h > 0:
+            # delta_max 0.5 admits every bit, so the depth bound alone stops splits.
+            config = TreeConfig(tau=tau_max, delta_max=0.5, n_max=1, max_depth=h)
+            tree = HammingTree.build_balanced(refs, config, dim_bits)
+            hits = tree.search_all_batch(q_matrix, tau_max)
+            found = _count_rows(hits.distance <= np.asarray(taus)[:, None], hits.query, n_q)
+            over = (found > feasible).any(axis=1)
+            if over.any():
                 raise ValueError(
                     "tree search returned more matches than the "
-                    f"brute-force feasible set at tau={tau}"
+                    f"brute-force feasible set at tau={taus[int(np.argmax(over))]}"
                 )
-            ratio = np.ones(n_q)
-            np.divide(n_found, feasible[tau], out=ratio, where=feasible[tau] > 0)
-            measured[tau][h] = float(ratio.mean())
+            np.divide(found, feasible, out=ratio, where=feasible > 0)
+        for tau, value in zip(taus, ratio.mean(axis=1)):
+            measured[tau][h] = float(value)
 
-    reports = []
-    for tau in taus:
-        mean_level = float(per_bit[tau].mean())
-        predicted = {h: mean_level**h for h in depths}
-        reports.append(
-            CompletenessReport(
-                tau=tau,
-                per_bit=per_bit[tau],
-                per_depth_measured=measured[tau],
-                per_depth_predicted=predicted,
-            )
+    return [
+        CompletenessReport(
+            tau=tau,
+            per_bit=curve,
+            per_depth_measured=measured[tau],
+            per_depth_predicted={h: float(curve.mean()) ** h for h in depths},
         )
-    return reports
+        for tau, curve in zip(taus, per_bit)
+    ]
 
 
 def make_noisy_duplicate_corpus(

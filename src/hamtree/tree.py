@@ -582,11 +582,11 @@ class HammingTree:
     def check_invariants(self) -> None:
         """Raise ValueError unless every stored descriptor routes to its leaf.
 
-        A split bit may not repeat on a root-to-leaf path, and every row of a
-        leaf must agree with the leaf's path at each split index. Together
-        they make a stored descriptor retrace its own path, so a search finds
-        it at distance 0. The walk costs amortized O(1) per node, plus one
-        gather per non-empty leaf.
+        A split bit must lie inside the width and may not repeat on a
+        root-to-leaf path, and every row of a leaf must agree with the leaf's
+        path at each split index. Together they make a stored descriptor
+        retrace its own path, so a search finds it at distance 0. The walk
+        costs amortized O(1) per node, plus one gather per non-empty leaf.
         """
         # The path position where each bit was last split. The bit is on the
         # current path exactly when the path still holds it there; an
@@ -595,6 +595,8 @@ class HammingTree:
         for node, path in self._walk():
             if isinstance(node, InternalNode):
                 bit = node.bit_index
+                if not 0 <= bit < self.dim_bits:
+                    raise ValueError(f"bit index {bit} out of range for {self.dim_bits}-bit tree")
                 k = split_at.get(bit)
                 if k is not None and k < len(path) and path[k][0] == bit:
                     raise ValueError(f"bit index {bit} repeats on a root-to-leaf path")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from hamtree import DescriptorEntry, read_descriptor_file, write_descriptor_file
 from hamtree.descriptor import flip_bits
@@ -293,6 +294,26 @@ def test_tree_build_and_info_round_trip(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "dim_bits: 256" in printed
     assert "entries: 200" in printed
+
+
+@pytest.mark.parametrize("dim", [8, 16])
+def test_tree_build_on_a_narrow_corpus_needs_no_tau(tmp_path, capsys, dim):
+    corpus, _ = gen_corpus(tmp_path, images=3, per_image=20, noise=2, dim=dim)
+    tree_path = tmp_path / "tree.hbt"
+    assert run("tree", "build", "--input", corpus, "--output", tree_path, "--nmax", 4) == 0
+    assert run("tree", "info", "--tree", tree_path) == 0
+    printed = capsys.readouterr().out
+    assert f"dim_bits: {dim}" in printed
+    assert "entries: 60" in printed
+
+
+def test_tree_build_takes_no_tau(tmp_path, capsys):
+    # A tree file stores no tau, so the flag would be validated and dropped.
+    corpus, _ = gen_corpus(tmp_path, images=2, per_image=10)
+    assert run("tree", "build", "--input", corpus, "--output", tmp_path / "t.hbt",
+               "--tau", 10) == 1
+    assert "unrecognized arguments: --tau" in capsys.readouterr().err
+    assert not (tmp_path / "t.hbt").exists()
 
 
 def test_tree_build_incremental(tmp_path):

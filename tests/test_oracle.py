@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hamtree.descriptor
+import hamtree.oracle
 from hamtree import (
     BruteForceMatcher,
     DescriptorEntry,
@@ -26,7 +28,14 @@ from hamtree import (
     make_noisy_duplicate_corpus,
     random_descriptors,
 )
-from hamtree.descriptor import flip_bits
+from hamtree.descriptor import (
+    _distance_blocks,
+    _to_words,
+    _word_columns,
+    flip_bits,
+    stack_descriptors,
+    unpack_bits,
+)
 from hamtree.oracle import write_bitwise_csv, write_depth_csv
 
 from conftest import make_entries
@@ -223,6 +232,17 @@ def test_bitwise_completeness_constant_bit_is_one():
     assert per_bit[64][0] == 1.0
 
 
+def test_bitwise_completeness_of_a_bit_every_match_flips_is_zero():
+    # n weights of 1/n can sum to a hair over 1 in float64 (n = 29 with
+    # OpenBLAS), which must not push the curve below 0.
+    query = make_entries(random_descriptors(1, 64, np.random.default_rng(100)), image_id=1)
+    for n in range(1, 61):
+        refs = make_entries(np.stack([flip_bits(query[0].descriptor, [0])] * n))
+        per_bit = bitwise_completeness(query, refs, [1], 64)[1]
+        assert 0.0 <= per_bit[0] <= 1e-15
+        assert np.all(per_bit[1:] == 1.0)
+
+
 def test_bitwise_completeness_at_saturating_tau_is_same_side_fraction():
     # At tau = dim_bits every reference is feasible, so per-bit completeness
     # reduces to the mean fraction of references on the query's side of each
@@ -347,6 +367,158 @@ def test_depth_completeness_answers_depth_zero_without_a_tree(monkeypatch):
 def test_depth_completeness_predicted_power_example():
     # predicted completeness at depth 2 for a mean single-level value of 0.9
     assert 0.9**2 == pytest.approx(0.81)
+
+
+# ----------------------------------------------------------------------
+# The completeness pass against the per-query feasible sets it replaced
+# ----------------------------------------------------------------------
+
+def reference_feasible_sets(q_matrix, r_matrix, taus):
+    """Per-query reference indices within each tau, from one distance pass."""
+    tau_max = max(taus)
+    sets = []
+    for _, dists in _distance_blocks(_to_words(q_matrix), _word_columns(r_matrix)):
+        for row in dists:
+            idx = np.nonzero(row <= tau_max)[0]
+            d = row[idx]
+            sets.append({tau: idx[d <= tau] for tau in taus})
+    return sets
+
+
+def reference_bitwise_curves(q_bits, r_bits, sets, taus):
+    n_q, dim_bits = q_bits.shape
+    out = {}
+    for tau in taus:
+        acc = np.zeros(dim_bits, dtype=np.float64)
+        for qi in range(n_q):
+            feasible = sets[qi][tau]
+            if feasible.size == 0:
+                acc += 1.0
+            else:
+                same_side = r_bits[feasible] == q_bits[qi]
+                acc += same_side.mean(axis=0)
+        out[tau] = acc / n_q
+    return out
+
+
+def reference_depth_completeness(queries, refs, taus, depths, dim_bits):
+    """(per_bit, measured, predicted) per tau, as the oracle computed them
+    from one dict of index arrays per query."""
+    q_matrix, r_matrix = stack_descriptors(queries), stack_descriptors(refs)
+    sets = reference_feasible_sets(q_matrix, r_matrix, taus)
+    per_bit = reference_bitwise_curves(
+        unpack_bits(q_matrix, dim_bits), unpack_bits(r_matrix, dim_bits), sets, taus
+    )
+    n_q = q_matrix.shape[0]
+    tau_max = max(taus)
+    feasible = {
+        tau: np.array([sets[qi][tau].size for qi in range(n_q)], dtype=np.int64)
+        for tau in taus
+    }
+    measured = {tau: {} for tau in taus}
+    for h in depths:
+        if h == 0:
+            for tau in taus:
+                measured[tau][0] = 1.0
+            continue
+        config = TreeConfig(tau=min(tau_max, dim_bits), delta_max=0.5, n_max=1, max_depth=h)
+        tree = HammingTree.build_balanced(refs, config, dim_bits)
+        hits = tree.search_all_batch(q_matrix, min(tau_max, dim_bits))
+        for tau in taus:
+            n_found = np.bincount(hits.query[hits.distance <= tau], minlength=n_q)
+            ratio = np.ones(n_q)
+            np.divide(n_found, feasible[tau], out=ratio, where=feasible[tau] > 0)
+            measured[tau][h] = float(ratio.mean())
+    predicted = {tau: {h: float(per_bit[tau].mean()) ** h for h in depths} for tau in taus}
+    return per_bit, measured, predicted
+
+
+@st.composite
+def completeness_cases(draw):
+    """(queries, refs, taus, dim_bits): dense corpora of few-bit variants of
+    two centres (duplicate rows included) or sparse uniform ones, whose
+    queries at small taus have empty feasible sets."""
+    dim_bits = draw(st.integers(8, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_refs, n_queries = draw(st.integers(1, 60)), draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        centres = random_descriptors(2, dim_bits, rng)
+
+        def rows(count):
+            out = centres[rng.integers(0, 2, size=count)]
+            for row in out:
+                flips = rng.choice(dim_bits, size=int(rng.integers(0, 4)), replace=False)
+                row[:] = flip_bits(row, flips)
+            return out
+
+        r_matrix, q_matrix = rows(n_refs), rows(n_queries)
+    else:
+        r_matrix = random_descriptors(n_refs, dim_bits, rng)
+        q_matrix = random_descriptors(n_queries, dim_bits, rng)
+    tau = st.one_of(st.just(0), st.just(dim_bits), st.integers(0, dim_bits))
+    taus = draw(st.lists(tau, min_size=1, max_size=4))
+    return make_entries(q_matrix, image_id=1), make_entries(r_matrix), taus, dim_bits
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=completeness_cases(), hardware_popcount=st.booleans(), tiny_blocks=st.booleans())
+def test_completeness_equals_the_per_query_feasible_sets(case, hardware_popcount, tiny_blocks):
+    # Tiny blocks put one query in each distance block and one pair in each
+    # unpacked chunk, so block and chunk offsets are exercised.
+    queries, refs, taus, dim_bits = case
+    depths = [0, 1, 3]
+    with mock.patch.object(
+        hamtree.descriptor, "_HAS_BITWISE_COUNT",
+        hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
+    ), mock.patch.object(
+        hamtree.descriptor, "_BLOCK_TARGET_BYTES",
+        1 if tiny_blocks else hamtree.descriptor._BLOCK_TARGET_BYTES,
+    ), mock.patch.object(
+        hamtree.oracle, "_COUNT_BLOCK_BYTES",
+        1 if tiny_blocks else hamtree.oracle._COUNT_BLOCK_BYTES,
+    ):
+        per_bit, measured, predicted = reference_depth_completeness(
+            queries, refs, taus, depths, dim_bits
+        )
+        reports = depth_completeness(queries, refs, taus, depths, dim_bits)
+        curves = bitwise_completeness(queries, refs, taus, dim_bits)
+    assert [r.tau for r in reports] == taus
+    assert sorted(curves) == sorted(set(taus))
+    for report in reports:
+        assert report.per_bit.shape == (dim_bits,)
+        np.testing.assert_allclose(report.per_bit, per_bit[report.tau], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curves[report.tau], per_bit[report.tau], rtol=0, atol=1e-12)
+        assert np.all((report.per_bit >= 0) & (report.per_bit <= 1))
+        assert report.per_depth_measured == pytest.approx(measured[report.tau], abs=1e-12)
+        assert report.per_depth_predicted == pytest.approx(predicted[report.tau], abs=1e-12)
+
+
+def test_completeness_pass_holds_nothing_the_size_of_the_pairs():
+    # At tau = width all 4e6 pairs are feasible. One index array per query
+    # and tau peaked at 33.8 MB here; the pass keeps only per-block arrays.
+    queries, refs = make_noisy_duplicate_corpus(2, 1000, 64, max_flips=8, seed=24)
+    tracemalloc.start()
+    try:
+        curves = bitwise_completeness(queries, refs, [64], 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # Every reference is feasible, so each curve value is the mean share of
+    # the references on the query's side of the split.
+    q_bits = unpack_bits(stack_descriptors(queries))
+    r_means = unpack_bits(stack_descriptors(refs)).mean(axis=0)
+    same_side = np.where(q_bits == 1, r_means, 1 - r_means).mean(axis=0)
+    np.testing.assert_allclose(curves[64], same_side, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim_bits", [300, 40, 72])
+def test_completeness_rejects_a_width_the_rows_do_not_hold(dim_bits):
+    queries, refs = make_noisy_duplicate_corpus(1, 20, 64, max_flips=4, seed=25)
+    with pytest.raises(ValueError, match=f"dim_bits {dim_bits}"):
+        bitwise_completeness(queries, refs, [8], dim_bits)
+    with pytest.raises(ValueError, match=f"dim_bits {dim_bits}"):
+        depth_completeness(queries, refs, [8], [0, 1], dim_bits)
 
 
 def test_completeness_csv_round_trip(tmp_path):

@@ -262,6 +262,29 @@ def test_mutated_trees_fail_check_invariants_and_deserialize(case):
         deserialize_tree(serialize_tree(tree))
 
 
+@pytest.mark.parametrize("dim_bits, bit", [(16, 40), (16, 16), (16, -1), (12, 13)])
+def test_a_bit_outside_the_width_fails_check_invariants(dim_bits, bit):
+    # Numpy would read 40 and 16 past the packed row and wrap -1 to the last
+    # byte; bit 13 of a 12-bit tree is a padding bit inside the last byte.
+    rng = np.random.default_rng(141)
+    rows = make_entries(random_descriptors(6, dim_bits, rng))
+    valid = HammingTree(dim_bits, TreeConfig(tau=0),
+                        root=InternalNode(0, LeafNode(dim_bits), LeafNode(dim_bits)))
+    for entry in rows:
+        valid.insert(entry)
+    valid.check_invariants()
+    root = valid.root
+    tree = HammingTree(dim_bits, TreeConfig(tau=0),
+                       root=InternalNode(bit, root.left, root.right))
+    message = f"bit index {bit} out of range for {dim_bits}-bit tree"
+    with pytest.raises(ValueError, match=message):
+        tree.check_invariants()
+    if dim_bits % 8 == 0 and bit >= 0:
+        # The parser checks the range before the tree is built.
+        with pytest.raises(FormatError, match=message):
+            deserialize_tree(serialize_tree(tree))
+
+
 def _chain_tree(descriptor, dim_bits):
     """Splits on bits 0..dim_bits-1 that route ``descriptor`` to the bottom
     leaf; every other branch ends in one shared empty leaf."""
