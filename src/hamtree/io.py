@@ -199,7 +199,8 @@ def serialize_tree(tree: HammingTree) -> bytes:
             if packed.shape[1] != nbytes:
                 raise ValueError("leaf entry width does not match tree dim_bits")
             out += struct.pack("<BI", 0, len(node))
-            out += _encode_records(node.entries, packed).tobytes()
+            if len(node):
+                out += _encode_records(node.entries, packed).tobytes()
         else:
             out += struct.pack("<BH", 1, node.bit_index)
     return bytes(out)
@@ -262,6 +263,8 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
         if tag != 0:
             raise FormatError(f"unknown node tag {tag}")
         (count,) = cursor.take("<I")
+        if count == 0:
+            return LeafNode(dim_bits)
         records = cursor.take_records(dtype, count)
         return LeafNode._from_columns(
             dim_bits, _decode_records(records), np.array(records["payload"]),

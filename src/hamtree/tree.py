@@ -8,7 +8,12 @@ incremental insertion with leaf splitting, and greedy nearest / range search.
 
 Trees are single-writer / multi-reader: any number of concurrent searches may
 run against an unchanging tree, while ``insert`` and ``search_and_insert``
-require exclusive access. Nothing is mutated by a read.
+require exclusive access. The one thing a read writes is the tree's routing
+arrays (``_Routes``), which the first ``search_all_batch`` builds from the
+node graph and later ones reuse; concurrent first reads build equal arrays,
+and whichever is stored last is kept. A split keeps the arrays up to date and
+assigning ``root`` drops them, so a caller that edits nodes in place after a
+batched search must assign ``root`` again before the next one.
 """
 
 from __future__ import annotations
@@ -24,8 +29,11 @@ from .descriptor import (
     descriptor_nbytes,
     descriptor_to_int,
     _bit_counts,
+    _distance_blocks,
     _row_popcount,
     _stack_checked,
+    _to_words,
+    _word_columns,
 )
 
 __all__ = [
@@ -45,6 +53,18 @@ __all__ = [
 # query whose leaf alone is larger is scanned on its own), so an oversize
 # leaf reached by many queries cannot blow up memory.
 _SCAN_CHUNK_BYTES = 1 << 23
+
+# Fewest (queries x rows) pairs on one leaf for which ``search_all_batch``
+# scans that leaf once with the word kernel instead of gathering its rows
+# once per query. On a 2-vCPU x86-64 host (256-bit rows, 16 leaves of 10 to
+# 400 rows, each reached by 10 to 400 queries) the two broke even between
+# 1,000 and 2,000 pairs per leaf; the kernel was 1.9x faster at 2,500 pairs
+# and 3.2x at 10,000 and more. In a depth sweep of 5000 queries over 5000
+# rows, depth 6 (about 6,000 pairs per leaf) took 14 ms through the kernel
+# against 36 ms gathered, and depth 7 (about 1,500) 25 against 23 ms. A
+# 1000-descriptor image against a 1e5-descriptor tree of 50-row leaves puts
+# at most about 3,300 pairs on one leaf, so such a query stays on the gather.
+_KERNEL_MIN_PAIRS = 4096
 
 
 @dataclass(slots=True)
@@ -172,6 +192,40 @@ def _grown(column: np.ndarray, capacity: int) -> np.ndarray:
     return out
 
 
+def _gather_scan(
+    queries: np.ndarray, leaves: list[LeafNode], sizes: np.ndarray, tau: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Hits of query row q against ``leaves[q]`` (``sizes[q]`` rows), as
+    (query, position, image id, distance) column parts in query order.
+
+    The reached rows of consecutive queries are gathered into one block,
+    XORed with the repeated queries and counted; a block stays under
+    ``_SCAN_CHUNK_BYTES`` unless one query's leaf alone is larger.
+    """
+    # Query q's candidates are rows starts[q]:ends[q] of the whole gather.
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    cap_rows = max(1, _SCAN_CHUNK_BYTES // queries.shape[1])
+    empty = np.empty(0, dtype=np.int64)
+    parts = [(empty, empty, empty, np.empty(0, dtype=np.int32))]
+    lo = 0
+    while lo < len(leaves):
+        # The longest run of queries from ``lo`` whose rows fit the cap.
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + cap_rows, "right")))
+        chunk = leaves[lo:hi]
+        rows = np.concatenate([leaf.packed() for leaf in chunk])
+        np.bitwise_xor(rows, np.repeat(queries[lo:hi], sizes[lo:hi], axis=0), out=rows)
+        dist = _row_popcount(rows)
+        hit = np.flatnonzero(dist <= tau)
+        if hit.size:
+            row = hit + starts[lo]
+            query = np.searchsorted(ends, row, "right")
+            image_ids = np.concatenate([leaf.image_ids() for leaf in chunk])
+            parts.append((query, row - starts[query], image_ids[hit], dist[hit]))
+        lo = hi
+    return parts
+
+
 class InternalNode:
     """Two-way branch on one descriptor bit: 0 goes left, 1 goes right."""
 
@@ -184,6 +238,101 @@ class InternalNode:
 
 
 TreeNode = InternalNode | LeafNode
+
+
+def _check_bit(bit: int, dim_bits: int) -> None:
+    if not 0 <= bit < dim_bits:
+        raise ValueError(f"bit index {bit} out of range for {dim_bits}-bit tree")
+
+
+class _Routes:
+    """A tree's routing as flat int32 arrays, for the batched descent.
+
+    Internal node ``i`` splits on ``bit[i]`` and goes to ``child[i, side]``;
+    a child, like ``root``, is a node id, or ``~k`` for the leaf
+    ``leaves[k]``. A leaf object the graph holds in several places gets one
+    id per place. Rows from ``size`` on are spare capacity for splits.
+    """
+
+    __slots__ = ("bit", "child", "size", "leaves", "root")
+
+    def __init__(self, tree: "HammingTree"):
+        """The arrays of ``tree``'s node graph; ValueError for a split bit
+        outside the width."""
+        bits: list[int] = []
+        children: list[list[int]] = []
+        self.leaves: list[LeafNode] = []
+        # The id of the node at each depth of the walk's current path.
+        ids: list[int] = []
+        for node, path in tree._walk():
+            if isinstance(node, InternalNode):
+                _check_bit(node.bit_index, tree.dim_bits)
+                code = len(bits)
+                bits.append(node.bit_index)
+                children.append([0, 0])
+            else:
+                code = ~len(self.leaves)
+                self.leaves.append(node)
+            depth = len(path)
+            if depth:
+                children[ids[depth - 1]][path[-1][1]] = code
+            del ids[depth:]
+            ids.append(code)
+        self.root = ids[0]
+        self.size = len(bits)
+        self.bit = np.array(bits, dtype=np.int32)
+        self.child = np.array(children, dtype=np.int32).reshape(-1, 2)
+
+    def descend(self, queries: np.ndarray) -> np.ndarray:
+        """Leaf id reached by each row of an (n, W) packed query matrix.
+
+        One fancy-index step per level moves every query still at an
+        internal node to its child; a query leaves the active set at its leaf.
+        """
+        n = queries.shape[0]
+        if self.root < 0:
+            return np.full(n, ~self.root, dtype=np.intp)
+        reached = np.empty(n, dtype=np.intp)
+        active = np.arange(n)
+        node = np.full(n, self.root, dtype=np.int32)
+        while active.size:
+            bit = self.bit[node]
+            side = (queries[active, bit >> 3] >> (bit & 7)) & 1
+            node = self.child[node, side]
+            done = node < 0
+            if done.any():
+                reached[active[done]] = ~node[done]
+                active, node = active[~done], node[~done]
+        return reached
+
+    def split(self, path: list[InternalNode], leaf: LeafNode, node: InternalNode) -> bool:
+        """Mirror ``_maybe_split`` putting ``node``, whose children are two new
+        leaves, in place of ``leaf`` at the end of ``path``: one node and one
+        leaf are appended. False, with nothing changed, when the arrays do
+        not hold ``leaf`` there, as after nodes were edited in place."""
+        code, slot = self.root, None
+        for k, inner in enumerate(path):
+            if code < 0:
+                return False
+            below = path[k + 1] if k + 1 < len(path) else leaf
+            slot = (code, 1 if inner.right is below else 0)
+            code = int(self.child[slot])
+        if code >= 0 or self.leaves[~code] is not leaf:
+            return False
+        n = self.size
+        if n == self.bit.shape[0]:
+            self.bit = _grown(self.bit, max(8, 2 * n))
+            self.child = _grown(self.child, max(8, 2 * n))
+        self.bit[n] = node.bit_index
+        self.child[n] = (code, ~len(self.leaves))
+        self.leaves[~code] = node.left
+        self.leaves.append(node.right)
+        if slot is None:
+            self.root = n
+        else:
+            self.child[slot] = n
+        self.size = n + 1
+        return True
 
 
 @dataclass(slots=True)
@@ -286,8 +435,17 @@ class HammingTree:
         self.dim_bits = dim_bits
         self.config = config if config is not None else TreeConfig()
         self.config.validate(dim_bits)
-        self.root: TreeNode = root if root is not None else LeafNode(dim_bits)
+        self.root = root if root is not None else LeafNode(dim_bits)
         self.count = sum(len(leaf) for leaf, _ in self._iter_leaves())
+
+    @property
+    def root(self) -> TreeNode:
+        return self._root
+
+    @root.setter
+    def root(self, node: TreeNode) -> None:
+        self._root = node
+        self._routes: _Routes | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -404,7 +562,10 @@ class HammingTree:
         A query whose descriptor is stored in the tree is always found at
         distance 0, because it retraces the exact path of its stored copy.
         Among equal minimum distances the first-inserted entry wins, matching
-        the brute-force convention.
+        the brute-force convention. Split bits are not range-checked here:
+        on a hand-built tree a bit past the width reads as 0 and a negative
+        one raises Python's shift error; ``check_invariants`` and
+        ``search_all_batch`` report either as a ValueError.
         """
         self._check_width(query.descriptor)
         if tau is None:
@@ -442,10 +603,15 @@ class HammingTree:
     def search_all_batch(self, queries: np.ndarray, tau: int | None = None) -> LeafHits:
         """``search_all`` for every row of an (n, W) packed query matrix.
 
-        Each row descends to its leaf; the reached leaves' rows are gathered
-        into one block and compared with one XOR and popcount. The gathered
-        block is bounded by ``_SCAN_CHUNK_BYTES``: queries are processed in
-        consecutive chunks that stay under it.
+        All rows descend together over the routing arrays, built on the
+        first call (ValueError for a split bit outside the width). A leaf
+        reached by queries whose pairs with its rows number at least
+        ``_KERNEL_MIN_PAIRS`` is scanned once for all of them by the word
+        kernel; the other queries' leaf rows are gathered into blocks and
+        compared with one XOR and popcount. Both bound their working memory
+        by ``_SCAN_CHUNK_BYTES``: the gather takes consecutive runs of
+        queries whose rows stay under it (a query whose leaf alone is larger
+        is scanned on its own).
         """
         queries = np.ascontiguousarray(queries, dtype=np.uint8)
         nbytes = descriptor_nbytes(self.dim_bits)
@@ -455,34 +621,38 @@ class HammingTree:
             )
         if tau is None:
             tau = self.config.tau
-        raw = queries.tobytes()
-        leaves = [
-            self._descend(int.from_bytes(raw[o : o + nbytes], "little"))[0]
-            for o in range(0, len(raw), nbytes)
-        ]
+        routes = self._routes
+        if routes is None:
+            routes = self._routes = _Routes(self)
+        leaf_ids = routes.descend(queries)
+        leaves = [routes.leaves[k] for k in leaf_ids.tolist()]
         sizes = np.array([len(leaf) for leaf in leaves], dtype=np.int64)
-        # Query q's candidates are rows starts[q]:ends[q] of the whole gather.
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        cap_rows = max(1, _SCAN_CHUNK_BYTES // nbytes)
-        empty = np.empty(0, dtype=np.int64)
-        parts = [(empty, empty, empty, np.empty(0, dtype=np.int32))]
-        lo = 0
-        while lo < len(leaves):
-            # The longest run of queries from ``lo`` whose rows fit the cap.
-            hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + cap_rows, "right")))
-            chunk = leaves[lo:hi]
-            rows = np.concatenate([leaf.packed() for leaf in chunk])
-            np.bitwise_xor(rows, np.repeat(queries[lo:hi], sizes[lo:hi], axis=0), out=rows)
-            dist = _row_popcount(rows)
-            hit = np.flatnonzero(dist <= tau)
-            if hit.size:
-                row = hit + starts[lo]
-                query = np.searchsorted(ends, row, "right")
-                image_ids = np.concatenate([leaf.image_ids() for leaf in chunk])
-                parts.append((query, row - starts[query], image_ids[hit], dist[hit]))
-            lo = hi
-        return LeafHits(*(np.concatenate(cols) for cols in zip(*parts)), leaves=leaves)
+        reach = np.bincount(leaf_ids, minlength=len(routes.leaves))
+        heavy = reach[leaf_ids] * sizes >= _KERNEL_MIN_PAIRS
+        if not heavy.any():
+            parts = _gather_scan(queries, leaves, sizes, tau)
+            return LeafHits(*(np.concatenate(cols) for cols in zip(*parts)), leaves=leaves)
+        light = np.flatnonzero(~heavy)
+        parts = [
+            (light[q], *rest) for q, *rest in
+            _gather_scan(queries[light], [leaves[q] for q in light.tolist()], sizes[light], tau)
+        ]
+        heavy = np.flatnonzero(heavy)
+        heavy = heavy[np.argsort(leaf_ids[heavy], kind="stable")]
+        for group in np.split(heavy, np.flatnonzero(np.diff(leaf_ids[heavy])) + 1):
+            leaf = leaves[group[0]]
+            blocks = _distance_blocks(
+                _to_words(queries[group]), _word_columns(leaf.packed()), _SCAN_CHUNK_BYTES
+            )
+            for start, dist in blocks:
+                row, position = np.nonzero(dist <= tau)
+                parts.append((group[start + row], position, leaf.image_ids()[position],
+                              dist[row, position]))
+        query, position, image_id, distance = (np.concatenate(cols) for cols in zip(*parts))
+        # Each query's hits come from one part, in leaf order already.
+        order = np.argsort(query, kind="stable")
+        return LeafHits(query[order], position[order], image_id[order], distance[order],
+                        leaves=leaves)
 
     def hit_references(
         self, hits: LeafHits, which: np.ndarray, queries: np.ndarray
@@ -525,8 +695,10 @@ class HammingTree:
             return
         right = (leaf.packed()[:, bit >> 3] >> (bit & 7)) & 1 == 1
         node = InternalNode(bit, leaf._subset(~right), leaf._subset(right))
+        if self._routes is not None and not self._routes.split(path, leaf, node):
+            self._routes = None
         if not path:
-            self.root = node
+            self._root = node
         elif path[-1].right is leaf:
             path[-1].right = node
         else:
@@ -595,8 +767,7 @@ class HammingTree:
         for node, path in self._walk():
             if isinstance(node, InternalNode):
                 bit = node.bit_index
-                if not 0 <= bit < self.dim_bits:
-                    raise ValueError(f"bit index {bit} out of range for {self.dim_bits}-bit tree")
+                _check_bit(bit, self.dim_bits)
                 k = split_at.get(bit)
                 if k is not None and k < len(path) and path[k][0] == bit:
                     raise ValueError(f"bit index {bit} repeats on a root-to-leaf path")

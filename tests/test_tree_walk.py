@@ -21,7 +21,8 @@ from hamtree import (
     serialize_tree,
     unpack_bits,
 )
-from hamtree.descriptor import flip_bits, get_bit
+from hamtree import RetrievalConfig, query_image
+from hamtree.descriptor import descriptor_to_int, flip_bits, get_bit
 
 from conftest import make_entries
 
@@ -310,6 +311,73 @@ def test_check_invariants_walks_the_widest_chain_a_stream_can_hold():
     bottom.packed()[0] = flip_bits(descriptor, [dim_bits - 1])
     with pytest.raises(ValueError, match="does not route to it"):
         tree.check_invariants()
+
+
+@pytest.mark.parametrize("dim_bits, bit", [(16, 40), (16, 16), (16, -1), (12, 13)])
+def test_a_bit_outside_the_width_fails_batched_search(dim_bits, bit):
+    # Without the check the batched search found 2 of the 6 rows for 40 and
+    # 16, and raised a bare "negative shift count" for -1.
+    rng = np.random.default_rng(141)
+    rows = make_entries(random_descriptors(6, dim_bits, rng), image_id=1)
+    tree = HammingTree(dim_bits, TreeConfig(tau=0),
+                       root=InternalNode(bit, LeafNode(dim_bits), LeafNode(dim_bits)))
+    message = f"bit index {bit} out of range for {dim_bits}-bit tree"
+    with pytest.raises(ValueError, match=message):
+        tree.search_all_batch(np.array([e.descriptor for e in rows]))
+    with pytest.raises(ValueError, match=message):
+        query_image(tree, make_entries(random_descriptors(3, dim_bits, rng), image_id=2),
+                    RetrievalConfig(tau=0))
+
+
+# ----------------------------------------------------------------------
+# The routing arrays against the scalar descent
+# ----------------------------------------------------------------------
+
+def probe_rows(tree, rng):
+    """Every stored row, a few-bit variant of each, and random rows."""
+    width = (tree.dim_bits + 7) // 8
+    stored = np.array([e.descriptor for e in tree.leaf_entries()], dtype=np.uint8)
+    stored = stored.reshape(-1, width)
+    variants = [flip_bits(row, rng.choice(tree.dim_bits, size=2, replace=False))
+                for row in stored]
+    return np.concatenate([stored, np.array(variants, dtype=np.uint8).reshape(-1, width),
+                           random_descriptors(int(rng.integers(0, 20)), tree.dim_bits, rng)])
+
+
+def assert_batched_descent_is_scalar(tree, queries):
+    leaves = tree.search_all_batch(queries, 0).leaves
+    assert len(leaves) == len(queries)
+    for row, leaf in zip(queries, leaves):
+        assert leaf is tree._descend(descriptor_to_int(row))[0]
+
+
+@PROPERTY
+@given(trees(), st.integers(0, 2**32 - 1))
+def test_batched_descent_reaches_the_scalar_leaf(case, seed):
+    _, tree = case
+    rng = np.random.default_rng(seed)
+    assert_batched_descent_is_scalar(tree, probe_rows(tree, rng))
+    # A new root drops the arrays built for the old one.
+    bit = int(rng.integers(0, tree.dim_bits))
+    tree.root = InternalNode(bit, tree.root, LeafNode(tree.dim_bits, tree.leaf_entries()[:3]))
+    assert_batched_descent_is_scalar(tree, probe_rows(tree, rng))
+
+
+@PROPERTY
+@given(corpora(max_entries=200), st.integers(1, 8), st.sampled_from([0.1, 0.5]),
+       st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_splits_extend_the_routing_arrays(corpus, n_max, delta_max, batch, seed):
+    entries, dim_bits = corpus
+    tree = HammingTree(dim_bits, TreeConfig(tau=0, delta_max=delta_max, n_max=n_max))
+    rng = np.random.default_rng(seed)
+    assert_batched_descent_is_scalar(tree, probe_rows(tree, rng))
+    routes = tree._routes
+    for start in range(0, len(entries), batch):
+        tree.add(entries[start:start + batch])
+        assert_batched_descent_is_scalar(tree, probe_rows(tree, rng))
+    # Every split was appended to the arrays the first search built.
+    assert tree._routes is routes
+    assert routes.size + 1 == len(routes.leaves) == tree.depth_stats().leaf_count
 
 
 # ----------------------------------------------------------------------

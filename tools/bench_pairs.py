@@ -15,7 +15,16 @@ the parent goes first in even pairs and the change in odd ones. Every run is
 The JSON written to ``--out`` holds both commits, the host, the Python and
 numpy versions, and per workload and end-to-end metric each side's median,
 quartiles, pair count and every run's value, with the metric's bound and
-whether the change's median stays inside it.
+three verdicts:
+
+- ``within_bound``: the change's median is no worse than the parent's by
+  more than the bound
+- ``wins``: the pairs whose change run beat the parent run of the same
+  seed; a tie counts for neither side
+- ``unresolved``: either side's quartile spread is wider than the bound
+  (as a fraction of that side's median), so the medians cannot tell a
+  change of that size from noise, unless every change run beats every
+  parent run
 """
 
 from __future__ import annotations
@@ -67,6 +76,24 @@ def within(bound: float, better: str, parent: float, change: float) -> bool:
     return change >= parent * (1 - bound)
 
 
+def beats(better: str, change: float, parent: float) -> bool:
+    return change < parent if better == "lower" else change > parent
+
+
+def wins(better: str, parent: list[float], change: list[float]) -> int:
+    """Pairs the change won, pairing runs of the same seed; ties count for neither."""
+    return sum(beats(better, c, p) for p, c in zip(parent, change))
+
+
+def unresolved(bound: float, better: str, parent: dict, change: dict) -> bool:
+    """Either ``summary``'s quartile spread exceeds ``bound`` times its
+    median, and some change run does not beat every parent run."""
+    spread = any(s["q3"] - s["q1"] > bound * abs(s["median"]) for s in (parent, change))
+    return spread and not all(
+        beats(better, c, p) for c in change["runs"] for p in parent["runs"]
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
@@ -103,9 +130,12 @@ def main(argv=None) -> int:
             entry = {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
             for side, side_runs in by_side.items():
                 entry[side] = summary([r["metrics"][m["name"]]["value"] for r in side_runs])
+            parent, change = entry["parent"], entry["change"]
             entry["within_bound"] = within(
-                m["bound"], m["better"], entry["parent"]["median"], entry["change"]["median"]
+                m["bound"], m["better"], parent["median"], change["median"]
             )
+            entry["wins"] = wins(m["better"], parent["runs"], change["runs"])
+            entry["unresolved"] = unresolved(m["bound"], m["better"], parent, change)
             metrics[m["name"]] = entry
         report[workload] = {
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in by_side.items()},

@@ -1,4 +1,4 @@
-"""Smoke test of the pair runner: one tiny pair against HEAD.
+"""Tests of the pair runner: one tiny pair against HEAD, and its verdicts on made-up runs.
 
 Run from the repository root:
 
@@ -14,6 +14,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+sys.path.insert(0, str(ROOT / "tools"))
+
+import bench_pairs  # noqa: E402
 
 
 def test_one_tiny_pair_against_head(tmp_path):
@@ -39,7 +42,33 @@ def test_one_tiny_pair_against_head(tmp_path):
             entry = workload["metrics"][m["name"]]
             assert entry["bound"] == m["bound"] and entry["better"] == m["better"]
             assert isinstance(entry["within_bound"], bool)
+            # One run per side: no spread, and the pair is won or not.
+            assert entry["unresolved"] is False
+            assert entry["wins"] in (0, 1)
             for side in ("parent", "change"):
                 stats = entry[side]
                 assert stats["pairs"] == 1 and len(stats["runs"]) == 1
                 assert stats["q1"] == stats["median"] == stats["q3"] == stats["runs"][0] > 0
+
+
+def test_wins_count_pairs_and_ties_count_for_neither():
+    parent = [10.0, 10.0, 10.0, 10.0]
+    change = [9.0, 10.0, 11.0, 8.0]
+    assert bench_pairs.wins("lower", parent, change) == 2
+    assert bench_pairs.wins("higher", parent, change) == 1
+    # Pairs are matched by position (seed), not by rank.
+    assert bench_pairs.wins("lower", [1.0, 9.0], [2.0, 8.0]) == 1
+
+
+def test_unresolved_when_a_spread_exceeds_the_bound():
+    tight = bench_pairs.summary([10.0, 10.1, 9.9, 10.0, 10.2])
+    wide = bench_pairs.summary([6.0, 10.0, 14.0, 8.0, 12.0])
+    slower = bench_pairs.summary([10.5, 10.6, 10.4, 10.5, 10.7])
+    assert bench_pairs.unresolved(0.25, "lower", tight, slower) is False
+    assert bench_pairs.unresolved(0.25, "lower", wide, tight) is True
+    assert bench_pairs.unresolved(0.25, "lower", tight, wide) is True
+    assert bench_pairs.unresolved(0.5, "lower", wide, tight) is False
+    # Every change run below every parent run settles it despite the spread.
+    faster = bench_pairs.summary([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert bench_pairs.unresolved(0.25, "lower", wide, faster) is False
+    assert bench_pairs.unresolved(0.25, "higher", wide, faster) is True
