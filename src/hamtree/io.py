@@ -46,6 +46,13 @@ TREE_MAGIC = b"HBT1"
 TREE_VERSION = 1
 _U32_END = 1 << 32
 
+# The tree stream's fixed-size fields, compiled once for the parser.
+_TREE_MAGIC = struct.Struct(f"{len(TREE_MAGIC)}s")
+_TREE_HEADER = struct.Struct("<BI")
+_TAG = struct.Struct("<B")
+_BIT_INDEX = struct.Struct("<H")
+_LEAF_COUNT = struct.Struct("<I")
+
 
 class FormatError(ValueError):
     """A byte stream does not conform to its declared format."""
@@ -221,8 +228,8 @@ class _Cursor:
         self.offset = start + size
         return start
 
-    def take(self, fmt: str):
-        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
+    def take(self, field: struct.Struct):
+        return field.unpack_from(self.data, self._advance(field.size))
 
     def take_records(self, dtype: np.dtype, count: int) -> np.ndarray:
         start = self._advance(count * dtype.itemsize)
@@ -241,20 +248,27 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
     raises FormatError.
     """
     cursor = _Cursor(data)
-    (magic,) = cursor.take(f"{len(TREE_MAGIC)}s")
+    (magic,) = cursor.take(_TREE_MAGIC)
     if magic != TREE_MAGIC:
         raise FormatError(f"bad tree magic {magic!r}")
-    version, dim_bits = cursor.take("<BI")
+    version, dim_bits = cursor.take(_TREE_HEADER)
     if version != TREE_VERSION:
         raise FormatError(f"unsupported tree version {version}")
     if dim_bits < 8 or dim_bits % 8 != 0:
         raise FormatError(f"invalid dim_bits {dim_bits}")
     dtype = _record_dtype(dim_bits // 8)
+    # Every empty leaf shares one pair of zero-row columns: an append grows
+    # a full column into a new array before it writes, so none is written.
+    no_rows = np.empty((0, dim_bits // 8), dtype=np.uint8)
+    no_ids = np.empty(0, dtype=np.int64)
+    no_rows.flags.writeable = no_ids.flags.writeable = False
+    stored = 0
 
     def parse_one() -> TreeNode:
-        (tag,) = cursor.take("<B")
+        nonlocal stored
+        (tag,) = cursor.take(_TAG)
         if tag == 1:
-            (bit_index,) = cursor.take("<H")
+            (bit_index,) = cursor.take(_BIT_INDEX)
             if bit_index >= dim_bits:
                 raise FormatError(
                     f"bit index {bit_index} out of range for {dim_bits}-bit tree"
@@ -262,10 +276,11 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
             return InternalNode(bit_index, None, None)  # children attached below
         if tag != 0:
             raise FormatError(f"unknown node tag {tag}")
-        (count,) = cursor.take("<I")
+        (count,) = cursor.take(_LEAF_COUNT)
         if count == 0:
-            return LeafNode(dim_bits)
+            return LeafNode._from_columns(dim_bits, [], no_rows, no_ids)
         records = cursor.take_records(dtype, count)
+        stored += count
         return LeafNode._from_columns(
             dim_bits, _decode_records(records), np.array(records["payload"]),
             records["image_id"].astype(np.int64),
@@ -294,7 +309,10 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
         )
     if config is None:
         config = TreeConfig(tau=min(TreeConfig().tau, dim_bits))
-    tree = HammingTree(dim_bits, config, root=root)
+    # The leaf sizes were summed while parsing, so the tree is given its
+    # root and count directly rather than walking the nodes again.
+    tree = HammingTree(dim_bits, config)
+    tree.root, tree.count = root, stored
     try:
         tree.check_invariants()
     except ValueError as exc:

@@ -9,11 +9,11 @@ incremental insertion with leaf splitting, and greedy nearest / range search.
 Trees are single-writer / multi-reader: any number of concurrent searches may
 run against an unchanging tree, while ``insert`` and ``search_and_insert``
 require exclusive access. The one thing a read writes is the tree's routing
-arrays (``_Routes``), which the first ``search_all_batch`` builds from the
-node graph and later ones reuse; concurrent first reads build equal arrays,
-and whichever is stored last is kept. A split keeps the arrays up to date and
-assigning ``root`` drops them, so a caller that edits nodes in place after a
-batched search must assign ``root`` again before the next one.
+arrays (``_Routes``), which the first ``search_all`` or ``search_all_batch``
+builds from the node graph and later ones reuse; concurrent first reads build
+equal arrays, and whichever is stored last is kept. A split keeps the arrays
+up to date and assigning ``root`` drops them, so a caller that edits nodes in
+place after a range search must assign ``root`` again before the next one.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ from .descriptor import (
     DescriptorEntry,
     descriptor_nbytes,
     descriptor_to_int,
+    _UINT8,
     _bit_counts,
     _distance_blocks,
     _row_popcount,
+    _scan_distances,
     _stack_checked,
     _to_words,
     _word_columns,
@@ -532,19 +534,23 @@ class HammingTree:
     def _descend(
         self, key: int, path: list[InternalNode] | None = None
     ) -> tuple[LeafNode, int]:
-        """Greedy traversal of the descriptor ``key`` (``descriptor_to_int``).
+        """Greedy traversal of the descriptor ``key`` (from ``_key``).
 
         Returns the reached leaf and its depth; when ``path`` is given, the
         internal nodes passed are appended to it, root first.
         """
-        node = self.root
-        depth = 0
+        node = self._root
+        if path is None:
+            depth = 0
+            while isinstance(node, InternalNode):
+                node = node.right if (key >> node.bit_index) & 1 else node.left
+                depth += 1
+            return node, depth
+        start = len(path)
         while isinstance(node, InternalNode):
-            if path is not None:
-                path.append(node)
+            path.append(node)
             node = node.right if (key >> node.bit_index) & 1 else node.left
-            depth += 1
-        return node, depth
+        return node, len(path) - start
 
     def _check_width(self, descriptor: np.ndarray) -> None:
         nbytes = descriptor_nbytes(self.dim_bits)
@@ -553,6 +559,19 @@ class HammingTree:
                 f"query has {np.asarray(descriptor).shape[0]} bytes, tree "
                 f"expects {nbytes}"
             )
+
+    def _key(self, descriptor: np.ndarray) -> int:
+        """The descriptor as an int (``descriptor_to_int``) for ``_descend``;
+        ValueError unless it has the tree's byte width. A uint8 row of that
+        width skips the general conversion."""
+        if (
+            type(descriptor) is np.ndarray
+            and descriptor.dtype is _UINT8
+            and descriptor.shape == ((self.dim_bits + 7) >> 3,)
+        ):
+            return int.from_bytes(descriptor.tobytes(), "little")
+        self._check_width(descriptor)
+        return descriptor_to_int(descriptor)
 
     def search_nearest(
         self, query: DescriptorEntry, tau: int | None = None
@@ -564,18 +583,18 @@ class HammingTree:
         Among equal minimum distances the first-inserted entry wins, matching
         the brute-force convention. Split bits are not range-checked here:
         on a hand-built tree a bit past the width reads as 0 and a negative
-        one raises Python's shift error; ``check_invariants`` and
-        ``search_all_batch`` report either as a ValueError.
+        one raises Python's shift error; ``check_invariants``, ``search_all``
+        and ``search_all_batch`` report either as a ValueError.
         """
-        self._check_width(query.descriptor)
+        key = self._key(query.descriptor)
         if tau is None:
             tau = self.config.tau
-        leaf, depth = self._descend(descriptor_to_int(query.descriptor))
-        n = len(leaf)
+        leaf, depth = self._descend(key)
+        n = len(leaf.entries)
         if n == 0:
             return SearchResult(best=None, leaf_scanned=0, depth_traversed=depth)
-        dists = _row_popcount(np.bitwise_xor(leaf.packed(), query.descriptor))
-        best_idx = int(np.argmin(dists))
+        dists = _scan_distances(leaf.packed(), query.descriptor)
+        best_idx = int(dists.argmin())
         best_dist = int(dists[best_idx])
         best = None
         if best_dist <= tau:
@@ -590,14 +609,26 @@ class HammingTree:
         """All reached-leaf entries within tau, in insertion order.
 
         The result is by construction a subset of what a full brute-force
-        scan at the same tau would return.
+        scan at the same tau would return. One greedy descent and one scan
+        of the reached leaf, the same as ``search_nearest``'s. Split bits are
+        range-checked (ValueError for one outside the width) when the
+        routing arrays are built, on the first ``search_all`` or
+        ``search_all_batch`` after the root was set.
         """
-        self._check_width(query.descriptor)
-        hits = self.search_all_batch(np.asarray(query.descriptor)[None, :], tau)
-        entries = hits.leaves[0].entries
+        key = self._key(query.descriptor)
+        if tau is None:
+            tau = self.config.tau
+        if self._routes is None:
+            self._routes = _Routes(self)
+        leaf, _ = self._descend(key)
+        if not leaf.entries:
+            return []
+        dists = _scan_distances(leaf.packed(), query.descriptor)
+        hits = np.flatnonzero(dists <= tau)
+        entries = leaf.entries
         return [
             MatchRecord(query=query, reference=entries[i], distance=d)
-            for i, d in zip(hits.position.tolist(), hits.distance.tolist())
+            for i, d in zip(hits.tolist(), dists[hits].tolist())
         ]
 
     def search_all_batch(self, queries: np.ndarray, tau: int | None = None) -> LeafHits:
@@ -673,9 +704,8 @@ class HammingTree:
         depth limit has not been reached; otherwise it simply grows. No
         rebalancing is ever performed.
         """
-        self._check_width(entry.descriptor)
         path: list[InternalNode] = []
-        leaf, _ = self._descend(descriptor_to_int(entry.descriptor), path)
+        leaf, _ = self._descend(self._key(entry.descriptor), path)
         leaf.append(entry)
         self.count += 1
         self._maybe_split(leaf, path)

@@ -456,6 +456,30 @@ def test_full_depth_chain_round_trips_and_is_checked_along_its_whole_path():
         deserialize_tree(serialize_tree(clone))
 
 
+def test_appending_to_one_loaded_empty_leaf_leaves_the_others_empty():
+    # Loaded empty leaves share their zero-row columns; an append must grow
+    # its own leaf's columns and leave the shared ones as they were.
+    descriptor = random_descriptors(1, 256, np.random.default_rng(97))[0]
+    clone = deserialize_tree(serialize_tree(_chain_tree(descriptor)), TreeConfig(n_max=10))
+    assert clone.count == len(clone.leaf_entries()) == 1
+    empties = [leaf for leaf, _ in clone._iter_leaves() if len(leaf) == 0]
+    assert len(empties) == 256
+    # Flipping bit 0 turns off the path at the first split, into its empty leaf.
+    stray = DescriptorEntry(flip_bits(descriptor, [0]), 2, 0)
+    clone.insert(stray)
+    assert clone.count == 2
+    filled = [leaf for leaf in empties if len(leaf)]
+    assert len(filled) == 1 and filled[0].entries == [stray]
+    assert filled[0].packed().tolist() == [stray.descriptor.tolist()]
+    assert filled[0].image_ids().tolist() == [2]
+    for leaf in empties:
+        if leaf is not filled[0]:
+            assert leaf.entries == []
+            assert leaf.packed().shape == (0, 32) and leaf.image_ids().shape == (0,)
+    assert clone.search_nearest(stray, 0).best.reference is stray
+    assert deserialize_tree(serialize_tree(clone)).structurally_equal(clone)
+
+
 # ----------------------------------------------------------------------
 # Hostile input: truncation and bit flips in the header and node fields
 # ----------------------------------------------------------------------

@@ -115,6 +115,7 @@ def hand_built(entries, dim_bits, rng, stop):
     """Random splits on random free bits, each row placed by its bits, with
     ``LeafNode`` and ``InternalNode`` as a caller would build them."""
     matrix = np.array([e.descriptor for e in entries], dtype=np.uint8)
+    matrix = matrix.reshape(len(entries), (dim_bits + 7) // 8)
 
     def build(subset, forbidden):
         free = [b for b in range(dim_bits) if b not in forbidden]
@@ -129,9 +130,9 @@ def hand_built(entries, dim_bits, rng, stop):
 
 
 @st.composite
-def corpora(draw, min_entries=0, max_entries=80):
+def corpora(draw, min_entries=0, max_entries=80, widths=(8, 12, 64, 256)):
     """(entries, dim_bits) with exact and near duplicates in half the cases."""
-    dim_bits = draw(st.sampled_from([8, 12, 64, 256]))
+    dim_bits = draw(st.sampled_from(widths))
     n = draw(st.integers(min_entries, max_entries))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     matrix = random_descriptors(n, dim_bits, rng)
@@ -145,9 +146,9 @@ def corpora(draw, min_entries=0, max_entries=80):
 
 
 @st.composite
-def trees(draw, min_entries=0):
+def trees(draw, min_entries=0, widths=(8, 12, 64, 256)):
     """(origin, tree): built, grown, hand-built or deserialized."""
-    entries, dim_bits = draw(corpora(min_entries=min_entries))
+    entries, dim_bits = draw(corpora(min_entries=min_entries, widths=widths))
     origin = draw(st.sampled_from(["built", "grown", "hand-built", "deserialized"]))
     config = TreeConfig(
         tau=0,
@@ -327,6 +328,8 @@ def test_a_bit_outside_the_width_fails_batched_search(dim_bits, bit):
     with pytest.raises(ValueError, match=message):
         query_image(tree, make_entries(random_descriptors(3, dim_bits, rng), image_id=2),
                     RetrievalConfig(tau=0))
+    with pytest.raises(ValueError, match=message):
+        tree.search_all(rows[0])
 
 
 # ----------------------------------------------------------------------
