@@ -464,19 +464,23 @@ def test_appending_to_one_loaded_empty_leaf_leaves_the_others_empty():
     assert clone.count == len(clone.leaf_entries()) == 1
     empties = [leaf for leaf, _ in clone._iter_leaves() if len(leaf) == 0]
     assert len(empties) == 256
-    # Flipping bit 0 turns off the path at the first split, into its empty leaf.
-    stray = DescriptorEntry(flip_bits(descriptor, [0]), 2, 0)
-    clone.insert(stray)
-    assert clone.count == 2
-    filled = [leaf for leaf in empties if len(leaf)]
-    assert len(filled) == 1 and filled[0].entries == [stray]
-    assert filled[0].packed().tolist() == [stray.descriptor.tolist()]
-    assert filled[0].image_ids().tolist() == [2]
+    # Flipping bit k turns off the path at the split on bit k, into the
+    # empty leaf there; two appends into two leaves must not share a row.
+    strays = [DescriptorEntry(flip_bits(descriptor, [k]), 2 + k, 0) for k in (0, 1)]
+    for stray in strays:
+        clone.insert(stray)
+    assert clone.count == 3
+    filled = [next(leaf for leaf in empties if leaf.entries[:1] == [stray])
+              for stray in strays]
+    for leaf, stray in zip(filled, strays):
+        assert len(leaf) == 1 and leaf.entries[0] is stray
+        assert leaf.packed().tolist() == [stray.descriptor.tolist()]
+        assert leaf.image_ids().tolist() == [stray.image_id]
+        assert clone.search_nearest(stray, 0).best.reference is stray
     for leaf in empties:
-        if leaf is not filled[0]:
+        if leaf not in filled:
             assert leaf.entries == []
             assert leaf.packed().shape == (0, 32) and leaf.image_ids().shape == (0,)
-    assert clone.search_nearest(stray, 0).best.reference is stray
     assert deserialize_tree(serialize_tree(clone)).structurally_equal(clone)
 
 
