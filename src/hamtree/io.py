@@ -12,11 +12,18 @@ An internal node is followed by its u16 bit index, then its left and right
 subtrees; a leaf by a u32 entry count and that many records in the
 descriptor-file record layout. Deserializing a serialized tree reproduces it
 node for node, including entry order within leaves; a stream whose tree fails
-``HammingTree.check_invariants`` (a bit repeated on a path, or a leaf row that
-disagrees with its path) is rejected.
+``HammingTree.check_invariants`` (a split bit outside the width or repeated
+on a path, or a leaf row that disagrees with its path) is rejected. The
+parser checks each node against its path as it reads it, so no second walk
+is made.
 
 Both formats share one record codec that converts between a record array and
-an entry list column by column, so no per-record Python loop remains.
+an entry list column by column, so no per-record Python loop remains. A
+loaded tree's leaves make no entries while parsing: each keeps its records'
+id and coordinate fields as a small record array beside its descriptor rows
+and image-id column, and makes a row's entry the first time it is read.
+``serialize_tree`` writes such a leaf, while no entry of it has been made,
+from those columns.
 """
 
 from __future__ import annotations
@@ -58,16 +65,14 @@ class FormatError(ValueError):
     """A byte stream does not conform to its declared format."""
 
 
+# A record's fields before its payload, which a loaded leaf keeps per row.
+_RECORD_HEAD = np.dtype(
+    [("image_id", "<u4"), ("keypoint_id", "<u4"), ("x", "<f4"), ("y", "<f4")]
+)
+
+
 def _record_dtype(nbytes: int) -> np.dtype:
-    return np.dtype(
-        [
-            ("image_id", "<u4"),
-            ("keypoint_id", "<u4"),
-            ("x", "<f4"),
-            ("y", "<f4"),
-            ("payload", "u1", (nbytes,)),
-        ]
-    )
+    return np.dtype(_RECORD_HEAD.descr + [("payload", "u1", (nbytes,))])
 
 
 def _check_ids(entry: DescriptorEntry) -> None:
@@ -206,8 +211,16 @@ def serialize_tree(tree: HammingTree) -> bytes:
             if packed.shape[1] != nbytes:
                 raise ValueError("leaf entry width does not match tree dim_bits")
             out += struct.pack("<BI", 0, len(node))
-            if len(node):
+            if not len(node):
+                continue
+            head = node._record_rows()
+            if head is None:
                 out += _encode_records(node.entries, packed).tobytes()
+            else:
+                rows = np.empty((len(node), _RECORD_HEAD.itemsize + nbytes), dtype=np.uint8)
+                rows[:, : _RECORD_HEAD.itemsize] = head.view(np.uint8).reshape(len(node), -1)
+                rows[:, _RECORD_HEAD.itemsize :] = packed
+                out += rows.tobytes()
         else:
             out += struct.pack("<BH", 1, node.bit_index)
     return bytes(out)
@@ -231,9 +244,11 @@ class _Cursor:
     def take(self, field: struct.Struct):
         return field.unpack_from(self.data, self._advance(field.size))
 
-    def take_records(self, dtype: np.dtype, count: int) -> np.ndarray:
-        start = self._advance(count * dtype.itemsize)
-        return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
+    def take_rows(self, count: int, width: int) -> np.ndarray:
+        """The next ``count`` rows of ``width`` bytes, as a (count, width)
+        uint8 view of the stream."""
+        start = self._advance(count * width)
+        return np.frombuffer(self.data, np.uint8, count * width, start).reshape(count, width)
 
 
 def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTree:
@@ -245,7 +260,7 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
 
     A stream that is malformed, or whose tree fails
     ``HammingTree.check_invariants`` and so could not be searched correctly,
-    raises FormatError.
+    raises FormatError; the parser makes those checks as it reads each node.
     """
     cursor = _Cursor(data)
     (magic,) = cursor.take(_TREE_MAGIC)
@@ -256,15 +271,22 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
         raise FormatError(f"unsupported tree version {version}")
     if dim_bits < 8 or dim_bits % 8 != 0:
         raise FormatError(f"invalid dim_bits {dim_bits}")
-    dtype = _record_dtype(dim_bits // 8)
+    head = _RECORD_HEAD.itemsize
+    width = head + dim_bits // 8
     # Every empty leaf shares one pair of zero-row columns: an append grows
     # a full column into a new array before it writes, so none is written.
     no_rows = np.empty((0, dim_bits // 8), dtype=np.uint8)
     no_ids = np.empty(0, dtype=np.int64)
     no_rows.flags.writeable = no_ids.flags.writeable = False
     stored = 0
+    # The split bits and sides on the path to the node being parsed, and the
+    # path position where each bit was last split: the bit is on the current
+    # path exactly when the path still holds it there.
+    bits: list[int] = []
+    sides: list[int] = []
+    split_at: dict[int, int] = {}
 
-    def parse_one() -> TreeNode:
+    def parse_one(depth: int) -> TreeNode:
         nonlocal stored
         (tag,) = cursor.take(_TAG)
         if tag == 1:
@@ -273,50 +295,59 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
                 raise FormatError(
                     f"bit index {bit_index} out of range for {dim_bits}-bit tree"
                 )
+            k = split_at.get(bit_index)
+            if k is not None and k < depth and bits[k] == bit_index:
+                raise FormatError(f"bit index {bit_index} repeats on a root-to-leaf path")
+            split_at[bit_index] = depth
             return InternalNode(bit_index, None, None)  # children attached below
         if tag != 0:
             raise FormatError(f"unknown node tag {tag}")
         (count,) = cursor.take(_LEAF_COUNT)
         if count == 0:
             return LeafNode._from_columns(dim_bits, [], no_rows, no_ids)
-        records = cursor.take_records(dtype, count)
+        rows = cursor.take_rows(count, width)
+        # Copies, so the leaf shares no memory with the caller's buffer.
+        packed = rows[:, head:].copy()
+        if depth:
+            on = np.array(bits)
+            if not ((packed[:, on >> 3] >> (on & 7)) & 1 == sides).all():
+                raise FormatError("a leaf holds a descriptor that does not route to it")
+        records = rows[:, :head].copy().view(_RECORD_HEAD).reshape(count)
         stored += count
         return LeafNode._from_columns(
-            dim_bits, _decode_records(records), np.array(records["payload"]),
-            records["image_id"].astype(np.int64),
+            dim_bits, [None] * count, packed, records["image_id"].astype(np.int64), records
         )
 
     # The stream is preorder, so each internal node is followed by its left
-    # subtree, then its right; a stack of pending (parent, side) slots
-    # reproduces that without recursing (a hostile stream can nest deeply).
-    root = parse_one()
-    pending: list[tuple[InternalNode, int]] = []
+    # subtree, then its right; a stack of pending (parent, side, depth)
+    # slots reproduces that without recursing (a hostile stream can nest
+    # deeply).
+    root = parse_one(0)
+    pending: list[tuple[InternalNode, int, int]] = []
     if isinstance(root, InternalNode):
-        pending = [(root, 1), (root, 0)]
+        pending = [(root, 1, 1), (root, 0, 1)]
     while pending:
-        parent, side = pending.pop()
-        node = parse_one()
+        parent, side, depth = pending.pop()
+        bits[depth - 1 :] = (parent.bit_index,)
+        sides[depth - 1 :] = (side,)
+        node = parse_one(depth)
         if side:
             parent.right = node
         else:
             parent.left = node
         if isinstance(node, InternalNode):
-            pending.append((node, 1))
-            pending.append((node, 0))
+            pending.append((node, 1, depth + 1))
+            pending.append((node, 0, depth + 1))
     if cursor.offset != len(data):
         raise FormatError(
             f"{len(data) - cursor.offset} trailing bytes after tree stream"
         )
     if config is None:
         config = TreeConfig(tau=min(TreeConfig().tau, dim_bits))
-    # The leaf sizes were summed while parsing, so the tree is given its
-    # root and count directly rather than walking the nodes again.
+    # The leaf sizes were summed and the routing checked while parsing, so
+    # the tree is given its root and count directly, with no second walk.
     tree = HammingTree(dim_bits, config)
     tree.root, tree.count = root, stored
-    try:
-        tree.check_invariants()
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
     return tree
 
 

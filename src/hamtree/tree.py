@@ -8,16 +8,20 @@ incremental insertion with leaf splitting, and greedy nearest / range search.
 
 Trees are single-writer / multi-reader: any number of concurrent searches may
 run against an unchanging tree, while ``insert`` and ``search_and_insert``
-require exclusive access. The one thing a read writes is the tree's routing
-arrays (``_Routes``), which the first ``search_all`` or ``search_all_batch``
-builds from the node graph and later ones reuse; concurrent first reads build
-equal arrays, and whichever is stored last is kept. A split keeps the arrays
-up to date and assigning ``root`` drops them, so a caller that edits nodes in
-place after a range search must assign ``root`` again before the next one.
+require exclusive access. A read writes two things. The first ``search_all``
+or ``search_all_batch`` builds the tree's routing arrays (``_Routes``) from
+the node graph and later ones reuse them; concurrent first reads build equal
+arrays, and whichever is stored last is kept. A split keeps the arrays up to
+date and assigning ``root`` drops them, so a caller that edits nodes in place
+after a range search must assign ``root`` again before the next one. And on a
+tree read from a stream, the first read of a stored row makes its entry and
+caches it on the leaf; that step holds a lock, so concurrent first reads of
+one row all return the one cached entry.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -68,6 +72,10 @@ _SCAN_CHUNK_BYTES = 1 << 23
 # at most about 3,300 pairs on one leaf, so such a query stays on the gather.
 _KERNEL_MIN_PAIRS = 4096
 
+# Held while a loaded leaf makes an entry, so that threads reading one row
+# for the first time at once all get the entry that is cached.
+_MAKE_LOCK = threading.Lock()
+
 
 @dataclass(slots=True)
 class TreeConfig:
@@ -109,15 +117,25 @@ class LeafNode:
     gather many leaves at once. Per-bit set counts are not kept; they are
     computed from the rows when asked for, which happens only when a split is
     considered.
+
+    A leaf read from a tree stream starts with no entry objects: it keeps
+    the stream's record rows (image id, keypoint id, x, y) beside its
+    columns, and ``entry(i)`` makes row i's ``DescriptorEntry`` on first use
+    and caches it, so one row always yields the same object. ``entries``
+    makes every row's. A leaf filled by ``insert`` or ``build_balanced``
+    holds the caller's entries as they are.
     """
 
-    __slots__ = ("entries", "_packed", "_image_ids", "_dim_bits")
+    # ``_entries[i]`` is row i's entry, or None while it is unmade;
+    # ``_records`` holds the record rows until every entry is made.
+    __slots__ = ("_entries", "_records", "_packed", "_image_ids", "_dim_bits")
 
     def __init__(self, dim_bits: int, entries: Sequence[DescriptorEntry] = ()):
-        self.entries: list[DescriptorEntry] = list(entries)
+        self._entries: list[DescriptorEntry | None] = list(entries)
+        self._records: np.ndarray | None = None
         self._dim_bits = dim_bits
-        self._packed = _stack_checked(self.entries, descriptor_nbytes(dim_bits))
-        self._image_ids = _image_id_column(self.entries)
+        self._packed = _stack_checked(self._entries, descriptor_nbytes(dim_bits))
+        self._image_ids = _image_id_column(self._entries)
 
     @classmethod
     def _from_columns(
@@ -126,21 +144,85 @@ class LeafNode:
         entries: list[DescriptorEntry],
         packed: np.ndarray,
         image_ids: np.ndarray,
+        records: np.ndarray | None = None,
     ) -> "LeafNode":
         """A leaf over ready columns: ``packed`` (len, W) uint8 rows and
-        int64 ``image_ids`` mirroring ``entries``, all taken as they are."""
+        int64 ``image_ids`` mirroring ``entries``, all taken as they are.
+
+        With ``records``, a record array with fields image_id, keypoint_id,
+        x and y in that order, the rows' entries are made from the records
+        when first read, and ``entries`` must be ``[None] * len(records)``.
+        """
         leaf = cls.__new__(cls)
         leaf._dim_bits = dim_bits
-        leaf.entries = entries
+        leaf._entries = entries
+        leaf._records = records
         leaf._packed = packed
         leaf._image_ids = image_ids
         return leaf
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
+
+    @property
+    def entries(self) -> list[DescriptorEntry]:
+        """Every row's entry, in insertion order; unmade ones are made."""
+        if self._records is not None:
+            with _MAKE_LOCK:
+                entries = self._entries
+                for i, e in enumerate(entries):
+                    if e is None:
+                        entries[i] = self._made(i)
+                self._records = None
+        return self._entries
+
+    def entry(self, i: int) -> DescriptorEntry:
+        """Row ``i``'s entry, made from its record on first read."""
+        entry = self._entries[i]
+        if entry is None:
+            # Only a miss locks, so concurrent first reads of a row agree.
+            with _MAKE_LOCK:
+                entry = self._entries[i]
+                if entry is None:
+                    entry = self._entries[i] = self._made(i)
+        return entry
+
+    def _made(self, i: int) -> DescriptorEntry:
+        """A new entry for row ``i`` from its record and a copy of its row."""
+        i = range(len(self._entries))[i]
+        image_id, keypoint_id, x, y = self._records.item(i)
+        return DescriptorEntry(self._packed[i].copy(), image_id, keypoint_id, (x, y))
+
+    def _record_rows(self) -> np.ndarray | None:
+        """The record rows of a leaf read from a stream whose entries are all
+        unmade and which has had nothing appended; otherwise None."""
+        records = self._records
+        if records is None or len(records) != len(self._entries):
+            return None
+        return records if all(e is None for e in self._entries) else None
+
+    def _row_fields(self) -> tuple[list[tuple], Sequence[np.ndarray]]:
+        """Per row, the (image_id, keypoint_id, keypoint_xy) and descriptor
+        that its entry holds, made or not; no entry is made."""
+        entries, records = self._entries, self._records
+        if records is None:
+            return (
+                [(e.image_id, e.keypoint_id, e.keypoint_xy) for e in entries],
+                [e.descriptor for e in entries],
+            )
+        keys = [(i, k, (x, y)) for i, k, x, y in records.tolist()]
+        rows: Sequence[np.ndarray] = self.packed()
+        made = [(i, e) for i, e in enumerate(entries) if e is not None]
+        if made:
+            rows = list(rows)
+            keys += [None] * (len(entries) - len(keys))
+            for i, e in made:
+                keys[i] = (e.image_id, e.keypoint_id, e.keypoint_xy)
+                rows[i] = e.descriptor
+        return keys, rows
 
     def append(self, entry: DescriptorEntry) -> None:
-        n = len(self.entries)
+        n = len(self._entries)
         if n == self._packed.shape[0]:
             capacity = max(8, 2 * n)
             self._packed = _grown(self._packed, capacity)
@@ -151,27 +233,43 @@ class LeafNode:
         except OverflowError:
             raise _image_id_error(entry.image_id) from None
         self._packed[n] = entry.descriptor
-        self.entries.append(entry)
+        self._entries.append(entry)
 
     def packed(self) -> np.ndarray:
         """View of the stored descriptors as a (len, W) matrix."""
-        return self._packed[: len(self.entries)]
+        return self._packed[: len(self._entries)]
 
     def image_ids(self) -> np.ndarray:
         """View of the stored entries' image ids, in insertion order."""
-        return self._image_ids[: len(self.entries)]
+        return self._image_ids[: len(self._entries)]
 
     def statistics(self) -> BitStatistics:
         return BitStatistics(counts=_bit_counts(self.packed(), self._dim_bits), total=len(self))
 
     def _subset(self, mask: np.ndarray) -> "LeafNode":
         """A new leaf holding the rows where ``mask`` is True, in order."""
+        entries = self.entries
         return LeafNode._from_columns(
             self._dim_bits,
-            [self.entries[i] for i in np.flatnonzero(mask).tolist()],
+            [entries[i] for i in np.flatnonzero(mask).tolist()],
             self.packed()[mask],
             self.image_ids()[mask],
         )
+
+
+def _same_rows(a: LeafNode, b: LeafNode) -> bool:
+    """Whether two leaves of equal length hold equal entries row by row, as
+    ``DescriptorEntry.__eq__`` compares them, without making any."""
+    keys_a, rows_a = a._row_fields()
+    keys_b, rows_b = b._row_fields()
+    if keys_a != keys_b:
+        return False
+    if not keys_a:
+        return True
+    try:
+        return np.array_equal(np.asarray(rows_a), np.asarray(rows_b))
+    except ValueError:  # rows of several shapes do not stack
+        return all(np.array_equal(x, y) for x, y in zip(rows_a, rows_b))
 
 
 def _image_id_error(image_id: int) -> ValueError:
@@ -590,7 +688,7 @@ class HammingTree:
         if tau is None:
             tau = self.config.tau
         leaf, depth = self._descend(key)
-        n = len(leaf.entries)
+        n = len(leaf)
         if n == 0:
             return SearchResult(best=None, leaf_scanned=0, depth_traversed=depth)
         dists = _scan_distances(leaf.packed(), query.descriptor)
@@ -599,7 +697,7 @@ class HammingTree:
         best = None
         if best_dist <= tau:
             best = MatchRecord(
-                query=query, reference=leaf.entries[best_idx], distance=best_dist
+                query=query, reference=leaf.entry(best_idx), distance=best_dist
             )
         return SearchResult(best=best, leaf_scanned=n, depth_traversed=depth)
 
@@ -621,13 +719,12 @@ class HammingTree:
         if self._routes is None:
             self._routes = _Routes(self)
         leaf, _ = self._descend(key)
-        if not leaf.entries:
+        if not len(leaf):
             return []
         dists = _scan_distances(leaf.packed(), query.descriptor)
         hits = np.flatnonzero(dists <= tau)
-        entries = leaf.entries
         return [
-            MatchRecord(query=query, reference=entries[i], distance=d)
+            MatchRecord(query=query, reference=leaf.entry(i), distance=d)
             for i, d in zip(hits.tolist(), dists[hits].tolist())
         ]
 
@@ -690,7 +787,7 @@ class HammingTree:
     ) -> list[DescriptorEntry]:
         """Stored entries of hits ``which`` (indices into the hits of ``queries``)."""
         pairs = zip(hits.query[which].tolist(), hits.position[which].tolist())
-        return [hits.leaves[q].entries[i] for q, i in pairs]
+        return [hits.leaves[q].entry(i) for q, i in pairs]
 
     # ------------------------------------------------------------------
     # Insertion
@@ -841,7 +938,7 @@ class HammingTree:
             if isinstance(a, LeafNode) != isinstance(b, LeafNode):
                 return False
             if isinstance(a, LeafNode):
-                if len(a) != len(b) or any(x != y for x, y in zip(a.entries, b.entries)):
+                if len(a) != len(b) or not _same_rows(a, b):
                     return False
             elif a.bit_index != b.bit_index:
                 return False

@@ -21,6 +21,9 @@ three verdicts:
   more than the bound
 - ``wins``: the pairs whose change run beat the parent run of the same
   seed; a tie counts for neither side
+- ``ties``: the pairs whose change run equals the parent run of the same
+  seed exactly, so a metric that must not move (``accuracy``) reads as
+  identical per seed when ``ties`` equals the pair count
 - ``unresolved``: either side's quartile spread is wider than the bound
   (as a fraction of that side's median), so the medians cannot tell a
   change of that size from noise, unless every change run beats every
@@ -85,6 +88,11 @@ def wins(better: str, parent: list[float], change: list[float]) -> int:
     return sum(beats(better, c, p) for p, c in zip(parent, change))
 
 
+def ties(parent: list[float], change: list[float]) -> int:
+    """Pairs whose two runs of the same seed gave exactly the same value."""
+    return sum(c == p for p, c in zip(parent, change))
+
+
 def unresolved(bound: float, better: str, parent: dict, change: dict) -> bool:
     """Either ``summary``'s quartile spread exceeds ``bound`` times its
     median, and some change run does not beat every parent run."""
@@ -135,6 +143,7 @@ def main(argv=None) -> int:
                 m["bound"], m["better"], parent["median"], change["median"]
             )
             entry["wins"] = wins(m["better"], parent["runs"], change["runs"])
+            entry["ties"] = ties(parent["runs"], change["runs"])
             entry["unresolved"] = unresolved(m["bound"], m["better"], parent, change)
             metrics[m["name"]] = entry
         report[workload] = {

@@ -44,7 +44,8 @@ def test_one_tiny_pair_against_head(tmp_path):
             assert isinstance(entry["within_bound"], bool)
             # One run per side: no spread, and the pair is won or not.
             assert entry["unresolved"] is False
-            assert entry["wins"] in (0, 1)
+            assert entry["wins"] in (0, 1) and entry["ties"] in (0, 1)
+            assert entry["wins"] + entry["ties"] <= 1
             for side in ("parent", "change"):
                 stats = entry[side]
                 assert stats["pairs"] == 1 and len(stats["runs"]) == 1
@@ -58,6 +59,19 @@ def test_wins_count_pairs_and_ties_count_for_neither():
     assert bench_pairs.wins("higher", parent, change) == 1
     # Pairs are matched by position (seed), not by rank.
     assert bench_pairs.wins("lower", [1.0, 9.0], [2.0, 8.0]) == 1
+
+
+def test_ties_count_exactly_equal_pairs():
+    parent = [10.0, 10.0, 0.75, 0.5]
+    change = [9.0, 10.0, 0.75, 0.5000001]
+    assert bench_pairs.ties(parent, change) == 2
+    assert bench_pairs.ties(parent, parent) == len(parent)
+    # Pairs are matched by position (seed), not by value.
+    assert bench_pairs.ties([1.0, 2.0], [2.0, 1.0]) == 0
+    # A pair is a win, a loss or a tie, never two of them.
+    for better in ("lower", "higher"):
+        lost = len(parent) - bench_pairs.wins(better, parent, change) - bench_pairs.ties(parent, change)
+        assert lost == bench_pairs.wins(better, change, parent)
 
 
 def test_unresolved_when_a_spread_exceeds_the_bound():
