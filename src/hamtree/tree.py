@@ -188,8 +188,10 @@ class LeafNode:
         return entry
 
     def _made(self, i: int) -> DescriptorEntry:
-        """A new entry for row ``i`` from its record and a copy of its row."""
-        i = range(len(self._entries))[i]
+        """A new entry for row ``i`` (an index that ``_entries`` accepts)
+        from its record and a copy of its row."""
+        if i < 0:
+            i += len(self._entries)
         image_id, keypoint_id, x, y = self._records.item(i)
         return DescriptorEntry(self._packed[i].copy(), image_id, keypoint_id, (x, y))
 

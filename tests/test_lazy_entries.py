@@ -35,7 +35,7 @@ from hamtree.cli import main
 from hamtree.descriptor import flip_bits
 
 from conftest import make_entries
-from test_serialize import assert_loaded_field_types
+from test_serialize import assert_loaded_field_types, reference_serialize_tree
 from test_tree_walk import corpora, hand_built, reference_structurally_equal
 
 PROPERTY = settings(
@@ -372,8 +372,12 @@ def test_structurally_equal_on_loaded_leaves_answers_as_entry_wise_equality(
         else:
             setattr(target, field, getattr(target, field) + 1)
     answer = loaded.structurally_equal(tree), tree.structurally_equal(loaded)
+    blob = serialize_tree(loaded)
     assert answer[0] == answer[1] == reference_structurally_equal(loaded, tree)
     assert loaded.structurally_equal(loaded)
+    # A made entry's fields are what is written; the payload is the leaf's row.
+    if field != "descriptor":
+        assert blob == reference_serialize_tree(loaded)
 
 
 def test_equal_rows_in_leaves_of_every_kind_compare_equal():
