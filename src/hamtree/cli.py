@@ -38,6 +38,7 @@ from .evaluation import (
 )
 from .io import (
     FormatError,
+    _check_file_width,
     load_tree,
     read_descriptor_file,
     save_tree,
@@ -121,6 +122,7 @@ def _cmd_gen(args) -> int:
     )
     try:
         spec.validate()
+        _check_file_width(spec.dim_bits)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     images, truth = generate_sequence(spec)

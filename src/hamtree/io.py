@@ -11,19 +11,17 @@ node structure in preorder, one tag byte per node (0 = leaf, 1 = internal).
 An internal node is followed by its u16 bit index, then its left and right
 subtrees; a leaf by a u32 entry count and that many records in the
 descriptor-file record layout. Deserializing a serialized tree reproduces it
-node for node, including entry order within leaves; a stream whose tree fails
-``HammingTree.check_invariants`` (a split bit outside the width or repeated
-on a path, or a leaf row that disagrees with its path) is rejected. The
-parser checks each node against its path as it reads it, so no second walk
-is made.
+node for node, including entry order within leaves. The parser hands each node,
+as it reads it, to the per-node routing check that
+``HammingTree.check_invariants`` runs, so a stream whose tree that check
+rejects (a split bit outside the width or repeated on a path, or a leaf row
+that disagrees with its path) is rejected with no second walk.
 
-Both formats share one record codec that converts between a record array and
-an entry list column by column, so no per-record Python loop remains. A
-loaded tree's leaves make no entries while parsing: each keeps its records'
-id and coordinate fields as a small record array beside its descriptor rows
-and image-id column, and makes a row's entry the first time it is read.
-``serialize_tree`` writes such a leaf, while no entry of it has been made,
-from those columns.
+Both formats split a block of records into its 16-byte heads and its payload
+rows, and join the two again, with one function each and no per-record
+Python loop. A loaded leaf keeps its heads beside its rows and makes a row's
+entry the first time it is read; ``serialize_tree`` writes such a leaf from
+the heads it kept while no entry of it has been made.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .descriptor import DescriptorEntry, _stack_checked
-from .tree import HammingTree, InternalNode, LeafNode, TreeConfig, TreeNode
+from .tree import HammingTree, InternalNode, LeafNode, TreeConfig, TreeNode, _check_node
 
 __all__ = [
     "FormatError",
@@ -53,12 +51,13 @@ TREE_MAGIC = b"HBT1"
 TREE_VERSION = 1
 _U32_END = 1 << 32
 
-# The tree stream's fixed-size fields, compiled once for the parser.
+# The tree stream's fixed-size fields, compiled once: its header, and per
+# node kind the tag with the field that follows it.
 _TREE_MAGIC = struct.Struct(f"{len(TREE_MAGIC)}s")
 _TREE_HEADER = struct.Struct("<BI")
-_TAG = struct.Struct("<B")
-_BIT_INDEX = struct.Struct("<H")
-_LEAF_COUNT = struct.Struct("<I")
+_INTERNAL = struct.Struct("<BH")
+_LEAF = struct.Struct("<BI")
+_NODE_HEADERS = {0: _LEAF, 1: _INTERNAL}
 
 
 class FormatError(ValueError):
@@ -69,10 +68,6 @@ class FormatError(ValueError):
 _RECORD_HEAD = np.dtype(
     [("image_id", "<u4"), ("keypoint_id", "<u4"), ("x", "<f4"), ("y", "<f4")]
 )
-
-
-def _record_dtype(nbytes: int) -> np.dtype:
-    return np.dtype(_RECORD_HEAD.descr + [("payload", "u1", (nbytes,))])
 
 
 def _check_ids(entry: DescriptorEntry) -> None:
@@ -100,14 +95,32 @@ def _check_file_width(dim_bits: int) -> int:
 # Record codec, shared by both formats
 # ----------------------------------------------------------------------
 
-def _encode_records(entries: Sequence[DescriptorEntry], payload: np.ndarray) -> np.ndarray:
-    """The entries as one record array, filled column by column.
+def _split_records(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An (n, 16 + W) uint8 record block as its ``_RECORD_HEAD`` array and
+    its (n, W) payload rows, both copies of the block."""
+    head = _RECORD_HEAD.itemsize
+    return rows[:, :head].copy().view(_RECORD_HEAD).reshape(len(rows)), rows[:, head:].copy()
 
-    ``payload`` holds the entries' descriptors as (len, nbytes) rows. Ids
-    must fit u32 and coordinates float32; otherwise a ValueError names the
-    first entry and field that does not.
-    """
+
+def _join_records(head: np.ndarray, payload: np.ndarray) -> bytes:
+    """The bytes of the (n, 16 + W) record block of a ``_RECORD_HEAD`` array
+    and its (n, W) payload rows; ``_split_records`` undoes it."""
     n, nbytes = payload.shape
+    size = _RECORD_HEAD.itemsize
+    rows = np.empty((n, size + nbytes), dtype=np.uint8)
+    rows[:, :size] = head.view(np.uint8).reshape(n, size)
+    rows[:, size:] = payload
+    return rows.tobytes()
+
+
+def _encode_head(entries: Sequence[DescriptorEntry]) -> np.ndarray:
+    """The entries' ids and coordinates as a ``_RECORD_HEAD`` array, filled
+    column by column.
+
+    Ids must fit u32 and coordinates float32; otherwise a ValueError names
+    the first entry and field that does not.
+    """
+    n = len(entries)
     try:
         image_ids = np.array([e.image_id for e in entries], dtype=np.int64)
         keypoint_ids = np.array([e.keypoint_id for e in entries], dtype=np.int64)
@@ -133,29 +146,11 @@ def _encode_records(entries: Sequence[DescriptorEntry], payload: np.ndarray) -> 
             f"keypoint_xy {e.keypoint_xy} of entry ({e.image_id}, {e.keypoint_id}) "
             f"is outside the float32 range"
         )
-    records = np.empty(n, dtype=_record_dtype(nbytes))
-    records["image_id"] = image_ids
-    records["keypoint_id"] = keypoint_ids
-    records["x"], records["y"] = xy32
-    records["payload"] = payload
-    return records
-
-
-def _decode_records(records: np.ndarray) -> list[DescriptorEntry]:
-    """Entries of a record array, in order.
-
-    Ids are Python ints and coordinates Python floats; the descriptors are
-    writable rows of one fresh copy of the payload column.
-    """
-    return list(
-        map(
-            DescriptorEntry,
-            np.array(records["payload"]),
-            records["image_id"].tolist(),
-            records["keypoint_id"].tolist(),
-            zip(records["x"].tolist(), records["y"].tolist()),
-        )
-    )
+    head = np.empty(n, dtype=_RECORD_HEAD)
+    head["image_id"] = image_ids
+    head["keypoint_id"] = keypoint_ids
+    head["x"], head["y"] = xy32
+    return head
 
 
 # ----------------------------------------------------------------------
@@ -166,12 +161,12 @@ def write_descriptor_file(
     path, entries: Sequence[DescriptorEntry], dim_bits: int
 ) -> None:
     """Write a descriptor corpus; entry order is preserved."""
-    nbytes = _check_file_width(dim_bits)
-    records = _encode_records(entries, _stack_checked(entries, nbytes))
+    payload = _stack_checked(entries, _check_file_width(dim_bits))
+    records = _join_records(_encode_head(entries), payload)
     with open(path, "wb") as fh:
         fh.write(DESCRIPTOR_MAGIC)
         fh.write(struct.pack("<IQ", dim_bits, len(entries)))
-        fh.write(records.tobytes())
+        fh.write(records)
 
 
 def read_descriptor_file(path) -> tuple[list[DescriptorEntry], int]:
@@ -185,15 +180,26 @@ def read_descriptor_file(path) -> tuple[list[DescriptorEntry], int]:
     dim_bits, count = struct.unpack_from("<IQ", data, len(DESCRIPTOR_MAGIC))
     if dim_bits < 8 or dim_bits % 8 != 0:
         raise FormatError(f"{path}: invalid dim_bits {dim_bits}")
-    dtype = _record_dtype(dim_bits // 8)
+    width = _RECORD_HEAD.itemsize + dim_bits // 8
     offset = len(DESCRIPTOR_MAGIC) + 12
-    expected = offset + count * dtype.itemsize
+    expected = offset + count * width
     if len(data) != expected:
         raise FormatError(
             f"{path}: {len(data)} bytes, expected {expected} for {count} records"
         )
-    records = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-    return _decode_records(records), int(dim_bits)
+    head, payload = _split_records(
+        np.frombuffer(data, np.uint8, count * width, offset).reshape(count, width)
+    )
+    # Ids become Python ints and coordinates Python floats; each descriptor is
+    # a writable row of the payload copy.
+    entries = map(
+        DescriptorEntry,
+        payload,
+        head["image_id"].tolist(),
+        head["keypoint_id"].tolist(),
+        zip(head["x"].tolist(), head["y"].tolist()),
+    )
+    return list(entries), int(dim_bits)
 
 
 # ----------------------------------------------------------------------
@@ -204,51 +210,22 @@ def serialize_tree(tree: HammingTree) -> bytes:
     """Serialize a tree to its preorder byte stream."""
     nbytes = _check_file_width(tree.dim_bits)
     out = bytearray(TREE_MAGIC)
-    out += struct.pack("<BI", TREE_VERSION, tree.dim_bits)
+    out += _TREE_HEADER.pack(TREE_VERSION, tree.dim_bits)
     for node, _ in tree._walk():
         if isinstance(node, LeafNode):
             packed = node.packed()
             if packed.shape[1] != nbytes:
                 raise ValueError("leaf entry width does not match tree dim_bits")
-            out += struct.pack("<BI", 0, len(node))
-            if not len(node):
-                continue
-            head = node._record_rows()
-            if head is None:
-                out += _encode_records(node.entries, packed).tobytes()
-            else:
-                rows = np.empty((len(node), _RECORD_HEAD.itemsize + nbytes), dtype=np.uint8)
-                rows[:, : _RECORD_HEAD.itemsize] = head.view(np.uint8).reshape(len(node), -1)
-                rows[:, _RECORD_HEAD.itemsize :] = packed
-                out += rows.tobytes()
+            out += _LEAF.pack(0, len(node))
+            if len(node):
+                # A loaded leaf with no entry made writes the head it kept.
+                head = node._record_rows()
+                if head is None:
+                    head = _encode_head(node.entries)
+                out += _join_records(head, packed)
         else:
-            out += struct.pack("<BH", 1, node.bit_index)
+            out += _INTERNAL.pack(1, node.bit_index)
     return bytes(out)
-
-
-class _Cursor:
-    __slots__ = ("data", "offset")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def _advance(self, size: int) -> int:
-        """Offset of the next ``size`` bytes, which must all be present."""
-        start = self.offset
-        if start + size > len(self.data):
-            raise FormatError("truncated tree stream")
-        self.offset = start + size
-        return start
-
-    def take(self, field: struct.Struct):
-        return field.unpack_from(self.data, self._advance(field.size))
-
-    def take_rows(self, count: int, width: int) -> np.ndarray:
-        """The next ``count`` rows of ``width`` bytes, as a (count, width)
-        uint8 view of the stream."""
-        start = self._advance(count * width)
-        return np.frombuffer(self.data, np.uint8, count * width, start).reshape(count, width)
 
 
 def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTree:
@@ -260,77 +237,80 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
 
     A stream that is malformed, or whose tree fails
     ``HammingTree.check_invariants`` and so could not be searched correctly,
-    raises FormatError; the parser makes those checks as it reads each node.
+    raises FormatError; the parser runs that check's per-node routine on
+    each node as it reads it.
     """
-    cursor = _Cursor(data)
-    (magic,) = cursor.take(_TREE_MAGIC)
+    offset = 0
+
+    def take(size: int) -> int:
+        """Offset of the next ``size`` bytes, which must all be present."""
+        nonlocal offset
+        start = offset
+        if start + size > len(data):
+            raise FormatError("truncated tree stream")
+        offset = start + size
+        return start
+
+    (magic,) = _TREE_MAGIC.unpack_from(data, take(_TREE_MAGIC.size))
     if magic != TREE_MAGIC:
         raise FormatError(f"bad tree magic {magic!r}")
-    version, dim_bits = cursor.take(_TREE_HEADER)
+    version, dim_bits = _TREE_HEADER.unpack_from(data, take(_TREE_HEADER.size))
     if version != TREE_VERSION:
         raise FormatError(f"unsupported tree version {version}")
     if dim_bits < 8 or dim_bits % 8 != 0:
         raise FormatError(f"invalid dim_bits {dim_bits}")
-    head = _RECORD_HEAD.itemsize
-    width = head + dim_bits // 8
+    width = _RECORD_HEAD.itemsize + dim_bits // 8
     # Every empty leaf shares one pair of zero-row columns: an append grows
     # a full column into a new array before it writes, so none is written.
     no_rows = np.empty((0, dim_bits // 8), dtype=np.uint8)
     no_ids = np.empty(0, dtype=np.int64)
     no_rows.flags.writeable = no_ids.flags.writeable = False
     stored = 0
-    # The split bits and sides on the path to the node being parsed, and the
-    # path position where each bit was last split: the bit is on the current
-    # path exactly when the path still holds it there.
-    bits: list[int] = []
-    sides: list[int] = []
+    # The (bit_index, side) splits on the path to the node being parsed, and
+    # the routing check's map of where each bit was last split.
+    path: list[tuple[int, int]] = []
     split_at: dict[int, int] = {}
 
-    def parse_one(depth: int) -> TreeNode:
+    def parse_one() -> TreeNode:
         nonlocal stored
-        (tag,) = cursor.take(_TAG)
+        # The tag byte picks the struct that reads the tag and its field: an
+        # internal node's bit index or a leaf's entry count.
+        if offset == len(data):
+            raise FormatError("truncated tree stream")
+        header = _NODE_HEADERS.get(data[offset])
+        if header is None:
+            raise FormatError(f"unknown node tag {data[offset]}")
+        tag, field = header.unpack_from(data, take(header.size))
         if tag == 1:
-            (bit_index,) = cursor.take(_BIT_INDEX)
-            if bit_index >= dim_bits:
-                raise FormatError(
-                    f"bit index {bit_index} out of range for {dim_bits}-bit tree"
-                )
-            k = split_at.get(bit_index)
-            if k is not None and k < depth and bits[k] == bit_index:
-                raise FormatError(f"bit index {bit_index} repeats on a root-to-leaf path")
-            split_at[bit_index] = depth
-            return InternalNode(bit_index, None, None)  # children attached below
-        if tag != 0:
-            raise FormatError(f"unknown node tag {tag}")
-        (count,) = cursor.take(_LEAF_COUNT)
-        if count == 0:
+            node: TreeNode = InternalNode(field, None, None)  # children attached below
+        elif field == 0:  # no row for the routing check to test
             return LeafNode._from_columns(dim_bits, [], no_rows, no_ids)
-        rows = cursor.take_rows(count, width)
-        # Copies, so the leaf shares no memory with the caller's buffer.
-        packed = rows[:, head:].copy()
-        if depth:
-            on = np.array(bits)
-            if not ((packed[:, on >> 3] >> (on & 7)) & 1 == sides).all():
-                raise FormatError("a leaf holds a descriptor that does not route to it")
-        records = rows[:, :head].copy().view(_RECORD_HEAD).reshape(count)
-        stored += count
-        return LeafNode._from_columns(
-            dim_bits, [None] * count, packed, records["image_id"].astype(np.int64), records
-        )
+        else:
+            # Copies, so the leaf shares no memory with the caller's buffer.
+            rows = np.frombuffer(data, np.uint8, field * width, take(field * width))
+            head, packed = _split_records(rows.reshape(field, width))
+            node = LeafNode._from_columns(
+                dim_bits, [None] * field, packed, head["image_id"].astype(np.int64), head
+            )
+            stored += field
+        try:
+            _check_node(node, path, split_at, dim_bits)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
+        return node
 
     # The stream is preorder, so each internal node is followed by its left
     # subtree, then its right; a stack of pending (parent, side, depth)
     # slots reproduces that without recursing (a hostile stream can nest
     # deeply).
-    root = parse_one(0)
+    root = parse_one()
     pending: list[tuple[InternalNode, int, int]] = []
     if isinstance(root, InternalNode):
         pending = [(root, 1, 1), (root, 0, 1)]
     while pending:
         parent, side, depth = pending.pop()
-        bits[depth - 1 :] = (parent.bit_index,)
-        sides[depth - 1 :] = (side,)
-        node = parse_one(depth)
+        path[depth - 1 :] = ((parent.bit_index, side),)
+        node = parse_one()
         if side:
             parent.right = node
         else:
@@ -338,10 +318,8 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
         if isinstance(node, InternalNode):
             pending.append((node, 1, depth + 1))
             pending.append((node, 0, depth + 1))
-    if cursor.offset != len(data):
-        raise FormatError(
-            f"{len(data) - cursor.offset} trailing bytes after tree stream"
-        )
+    if offset != len(data):
+        raise FormatError(f"{len(data) - offset} trailing bytes after tree stream")
     if config is None:
         config = TreeConfig(tau=min(TreeConfig().tau, dim_bits))
     # The leaf sizes were summed and the routing checked while parsing, so

@@ -347,6 +347,27 @@ def _check_bit(bit: int, dim_bits: int) -> None:
         raise ValueError(f"bit index {bit} out of range for {dim_bits}-bit tree")
 
 
+def _check_node(
+    node: TreeNode, path: list[tuple[int, int]], split_at: dict[int, int], dim_bits: int
+) -> None:
+    """``check_invariants``' rule for one node and its ``(bit_index, side)``
+    path. Nodes come in preorder, sharing ``split_at``: the path position
+    where each bit was last split. The bit is on the current path exactly
+    when the path still holds it there; an ancestor set per node would cost
+    O(depth) per node instead."""
+    if isinstance(node, InternalNode):
+        bit = node.bit_index
+        _check_bit(bit, dim_bits)
+        k = split_at.get(bit)
+        if k is not None and k < len(path) and path[k][0] == bit:
+            raise ValueError(f"bit index {bit} repeats on a root-to-leaf path")
+        split_at[bit] = len(path)
+    elif len(node) and path:
+        bits, sides = np.array(path).T
+        if not ((node.packed()[:, bits >> 3] >> (bits & 7)) & 1 == sides).all():
+            raise ValueError("a leaf holds a descriptor that does not route to it")
+
+
 class _Routes:
     """A tree's routing as flat int32 arrays, for the batched descent.
 
@@ -889,22 +910,9 @@ class HammingTree:
         retrace its own path, so a search finds it at distance 0. The walk
         costs amortized O(1) per node, plus one gather per non-empty leaf.
         """
-        # The path position where each bit was last split. The bit is on the
-        # current path exactly when the path still holds it there; an
-        # ancestor set per node would cost O(depth) per node instead.
         split_at: dict[int, int] = {}
         for node, path in self._walk():
-            if isinstance(node, InternalNode):
-                bit = node.bit_index
-                _check_bit(bit, self.dim_bits)
-                k = split_at.get(bit)
-                if k is not None and k < len(path) and path[k][0] == bit:
-                    raise ValueError(f"bit index {bit} repeats on a root-to-leaf path")
-                split_at[bit] = len(path)
-            elif len(node) and path:
-                bits, sides = np.array(path).T
-                if not ((node.packed()[:, bits >> 3] >> (bits & 7)) & 1 == sides).all():
-                    raise ValueError("a leaf holds a descriptor that does not route to it")
+            _check_node(node, path, split_at, self.dim_bits)
 
     def depth_stats(self) -> DepthStats:
         """Mean / spread / extremes of leaf depth, one sample per leaf."""

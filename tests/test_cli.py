@@ -59,12 +59,23 @@ def test_gen_identical_pair_with_full_overlap(tmp_path):
         assert np.array_equal(a.descriptor, b.descriptor)
 
 
-def test_gen_usage_errors_exit_one(tmp_path):
+def test_gen_usage_errors_exit_one(tmp_path, capsys, monkeypatch):
     assert run("gen", "--images", 0, "--output", tmp_path / "x.hbd") == 1
     assert run(
         "gen", "--images", 2, "--loop", "0:1:0.5", "--output", tmp_path / "x.hbd"
     ) == 1
     assert run("gen", "--images", 2, "--loop", "garbage", "--output", tmp_path / "x.hbd") == 1
+    # A width no descriptor file can hold is refused before any generating.
+    import hamtree.cli
+
+    def unreachable(spec):
+        raise AssertionError("generate_sequence called for a width no file can hold")
+
+    monkeypatch.setattr(hamtree.cli, "generate_sequence", unreachable)
+    capsys.readouterr()
+    assert run("gen", "--images", 300, "--dim-bits", 12, "--output", tmp_path / "x.hbd") == 1
+    assert "multiple of 8" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_out_of_range_id_exits_without_traceback(tmp_path, capsys, monkeypatch):
