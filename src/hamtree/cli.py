@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .descriptor import DescriptorEntry
+from .descriptor import DescriptorEntry, _stack_checked, descriptor_nbytes
 from .evaluation import (
     GroundTruthParams,
     ProtocolResult,
@@ -51,7 +51,7 @@ from .oracle import (
     write_bitwise_csv,
     write_depth_csv,
 )
-from .retrieval import RetrievalConfig
+from .retrieval import RetrievalConfig, _closest_hits
 from .synthetic import SyntheticSpec, generate_sequence
 from .tree import HammingTree, TreeConfig
 
@@ -107,6 +107,16 @@ def _group_by_image(entries: Sequence[DescriptorEntry]) -> list[list[DescriptorE
     return images
 
 
+def _tree_config(args, dim_bits: int, tau: int, max_depth: int | None = None) -> TreeConfig:
+    """The tree flags as a config for ``dim_bits``; UsageError if it is invalid."""
+    config = TreeConfig(tau=tau, delta_max=args.delta_max, n_max=args.nmax, max_depth=max_depth)
+    try:
+        config.validate(dim_bits)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return config
+
+
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
@@ -139,6 +149,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _nearest(index: HammingTree | BruteForceMatcher, queries: np.ndarray, tau: int):
+    """The hits of ``queries`` at ``tau``, and per query row with a match its
+    (row, distance, entry): ``search_nearest`` on a tree, ``nearest`` on a
+    matcher, with the earliest-inserted entry winning a tie."""
+    hits = index.search_all_batch(queries, tau)
+    best = _closest_hits(hits, hits.query)
+    references = index.hit_references(hits, best, queries)
+    return hits, list(zip(hits.query[best].tolist(), hits.distance[best].tolist(), references))
+
+
 def _cmd_match(args) -> int:
     db_entries, db_dim = read_descriptor_file(args.db)
     query_entries, query_dim = read_descriptor_file(args.query)
@@ -146,37 +166,30 @@ def _cmd_match(args) -> int:
         raise FormatError(
             f"descriptor width mismatch: db is {db_dim}-bit, query is {query_dim}-bit"
         )
-    config = TreeConfig(tau=args.tau, delta_max=args.delta_max, n_max=args.nmax)
-    try:
-        config.validate(db_dim)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    tree = HammingTree.build_balanced(db_entries, config, db_dim)
+    tree = HammingTree.build_balanced(db_entries, _tree_config(args, db_dim, args.tau), db_dim)
+    queries = _stack_checked(query_entries, descriptor_nbytes(db_dim))
+    # The routing arrays are made, like the matcher's store, before the clock.
+    tree.search_all_batch(queries[:0])
 
     tree_start = time.perf_counter()
-    results = [tree.search_nearest(entry, args.tau) for entry in query_entries]
+    hits, nearest = _nearest(tree, queries, args.tau)
     tree_seconds = time.perf_counter() - tree_start
 
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("query_image,query_kp,ref_image,ref_kp,distance\n")
-        for result in results:
-            if result.best is None:
-                continue
-            m = result.best
-            fh.write(
-                f"{m.query.image_id},{m.query.keypoint_id},"
-                f"{m.reference.image_id},{m.reference.keypoint_id},{m.distance}\n"
-            )
-    found = sum(1 for r in results if r.best is not None)
-    print(f"matched {found}/{len(query_entries)} query descriptors -> {args.output}")
+        for q, distance, ref in nearest:
+            fh.write(f"{query_entries[q].image_id},{query_entries[q].keypoint_id},"
+                     f"{ref.image_id},{ref.keypoint_id},{distance}\n")
+    print(f"matched {len(nearest)}/{len(query_entries)} query descriptors -> {args.output}")
 
     if args.compare_bruteforce:
         matcher = BruteForceMatcher(db_entries)
         bf_start = time.perf_counter()
-        for entry in query_entries:
-            matcher.nearest(entry, args.tau)
+        _nearest(matcher, queries, args.tau)
         bf_seconds = time.perf_counter() - bf_start
-        work = [r.depth_traversed + r.leaf_scanned for r in results]
+        # search_nearest's depth_traversed + leaf_scanned, per query.
+        depth = {id(leaf): d for leaf, d in tree._iter_leaves()}
+        work = [depth[id(leaf)] + len(leaf) for leaf in hits.leaves]
         mean_work = float(np.mean(work)) if work else 0.0
         speedup = bf_seconds / tree_seconds if tree_seconds > 0 else float("inf")
         print(
@@ -199,13 +212,7 @@ def _cmd_protocol(args) -> int:
     if args.engine == "bruteforce":
         result: ProtocolResult = run_protocol_brute_force(images, retrieval_config)
     else:
-        tree_config = TreeConfig(
-            tau=args.tau, delta_max=args.delta_max, n_max=args.nmax
-        )
-        try:
-            tree_config.validate(dim_bits)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        tree_config = _tree_config(args, dim_bits, args.tau)
         result = run_protocol(images, tree_config, retrieval_config, dim_bits)
     write_timing_csv(args.timing_csv, result.seconds)
     print(
@@ -272,16 +279,7 @@ def _cmd_completeness(args) -> int:
 def _cmd_tree_build(args) -> int:
     entries, dim_bits = read_descriptor_file(args.input)
     # A tree file stores no tau; this one only has to pass validation.
-    config = TreeConfig(
-        tau=min(TreeConfig().tau, dim_bits),
-        delta_max=args.delta_max,
-        n_max=args.nmax,
-        max_depth=args.max_depth,
-    )
-    try:
-        config.validate(dim_bits)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = _tree_config(args, dim_bits, min(TreeConfig().tau, dim_bits), args.max_depth)
     if args.incremental:
         tree = HammingTree(dim_bits, config)
         tree.add(entries)

@@ -22,9 +22,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .descriptor import DescriptorEntry, _distance_blocks, _to_words, stack_descriptors
+from .descriptor import DescriptorEntry
+from .oracle import BruteForceMatcher
 from .retrieval import ImageScore, RetrievalConfig, query_image
-from .tree import HammingTree, LeafHits, TreeConfig
+from .tree import HammingTree, TreeConfig
 
 __all__ = [
     "PoseRecord",
@@ -154,7 +155,7 @@ def build_ground_truth(
         missing = [i for i in range(len(images)) if i not in pose_by_id]
         if missing:
             raise ValueError(f"poses missing for images {missing[:5]}")
-    votes = _run(images, _ExhaustiveIndex(), RetrievalConfig(tau=params.tau), False).scores
+    votes = _run(images, BruteForceMatcher([]), RetrievalConfig(tau=params.tau), False).scores
     cos_limit = math.cos(math.radians(params.max_angle_deg))
     pairs: set[tuple[int, int]] = set()
     for q, scores in enumerate(votes):
@@ -197,7 +198,7 @@ def run_protocol(
         if first is None:
             # No descriptor gives a width, and with nothing stored every
             # image scores nothing on any index.
-            return _run(images, _ExhaustiveIndex(), retrieval_config, collect_matches)
+            return _run(images, BruteForceMatcher([]), retrieval_config, collect_matches)
         dim_bits = 8 * int(np.asarray(first.descriptor).shape[0])
     tree = HammingTree(dim_bits, tree_config)
     return _run(images, tree, retrieval_config, collect_matches)
@@ -215,12 +216,12 @@ def run_protocol_brute_force(
     votes when it is within tau. This is the accuracy ceiling the tree
     approximates, at a per-image cost that grows with the database.
     """
-    return _run(images, _ExhaustiveIndex(), retrieval_config, collect_matches)
+    return _run(images, BruteForceMatcher([]), retrieval_config, collect_matches)
 
 
 def _run(
     images: Sequence[Sequence[DescriptorEntry]],
-    index: HammingTree | _ExhaustiveIndex,
+    index: HammingTree | BruteForceMatcher,
     retrieval_config: RetrievalConfig | None,
     collect_matches: bool,
 ) -> ProtocolResult:
@@ -240,79 +241,6 @@ def _run(
         index.add(entries)
         seconds.append(time.perf_counter() - start)
     return ProtocolResult(scores=scores, seconds=seconds)
-
-
-class _ExhaustiveIndex:
-    """Every stored descriptor, scanned in full, behind the tree's calls.
-
-    The corpus is one word-major ``(words, capacity)`` store that doubles
-    when full, so adding an image costs amortized O(its size); each
-    non-empty image is a segment of consecutive columns. A search matches
-    the queries in blocks from the word kernel, whose buffers stay under
-    ``descriptor._MAX_CHUNK_BYTES``, and reduces each block to per-image
-    minima, so beyond one block it holds only the (queries, stored images)
-    minima. Each minimum within tau is a hit, with ``position`` the image's
-    segment and no leaves; the row behind a hit is found only by
-    ``hit_references``.
-    """
-
-    def __init__(self) -> None:
-        self._entries: list[DescriptorEntry] = []
-        self._columns: np.ndarray | None = None
-        self._starts: list[int] = []
-        self._image_ids: list[int] = []
-
-    def _words(self, matrix: np.ndarray) -> np.ndarray:
-        nbytes = len(self._entries[0].descriptor) if self._entries else matrix.shape[1]
-        if matrix.shape[1] != nbytes:
-            raise ValueError(f"width mismatch: {matrix.shape[1]} vs {nbytes} bytes")
-        return _to_words(matrix)
-
-    def add(self, entries: Sequence[DescriptorEntry]) -> None:
-        if not entries:
-            return
-        words = self._words(stack_descriptors(entries))
-        lo = len(self._entries)
-        hi = lo + words.shape[0]
-        if self._columns is None or hi > self._columns.shape[1]:
-            grown = np.empty((words.shape[1], max(2 * lo, hi)), dtype=np.uint64)
-            if lo:
-                grown[:, :lo] = self._columns[:, :lo]
-            self._columns = grown
-        self._columns[:, lo:hi] = words.T
-        self._starts.append(lo)
-        self._image_ids.append(entries[0].image_id)
-        self._entries.extend(entries)
-
-    def search_all_batch(self, queries: np.ndarray, tau: int) -> LeafHits:
-        words = self._words(queries)
-        minima = np.empty((len(words), len(self._starts)), dtype=np.int32)
-        if self._starts:
-            starts = np.asarray(self._starts, dtype=np.intp)
-            for first, dist in _distance_blocks(words, self._columns[:, : len(self._entries)]):
-                np.minimum.reduceat(dist, starts, axis=1, out=minima[first : first + len(dist)])
-        query, segment = np.nonzero(minima <= tau)
-        image_id = np.asarray(self._image_ids, dtype=np.int64)[segment]
-        return LeafHits(query, segment, image_id, minima[query, segment], leaves=[])
-
-    def hit_references(
-        self, hits: LeafHits, which: np.ndarray, queries: np.ndarray
-    ) -> list[DescriptorEntry]:
-        """Per hit in ``which``, its image's first row at the hit's distance,
-        the earliest insertion among the closest. Each image's rows are
-        matched against all of its voters at once, in kernel blocks."""
-        segment, query, distance = hits.position[which], hits.query[which], hits.distance[which]
-        words = _to_words(queries)
-        ends = self._starts[1:] + [len(self._entries)]
-        rows = np.empty(len(segment), dtype=np.intp)
-        for image in np.unique(segment).tolist():
-            group = np.flatnonzero(segment == image)
-            lo = self._starts[image]
-            stored = self._columns[:, lo : ends[image]]
-            for first, dist in _distance_blocks(words[query[group]], stored):
-                part = group[first : first + dist.shape[0]]
-                rows[part] = lo + np.argmax(dist == distance[part, None], axis=1)
-        return [self._entries[row] for row in rows.tolist()]
 
 
 # ----------------------------------------------------------------------

@@ -26,12 +26,11 @@ from .descriptor import (
     _word_columns,
     descriptor_nbytes,
     flip_bits,
-    hamming_distances,
     random_descriptors,
     stack_descriptors,
     unpack_bits,
 )
-from .tree import HammingTree, MatchRecord, TreeConfig
+from .tree import HammingTree, LeafHits, MatchRecord, TreeConfig, _image_id_column
 
 __all__ = [
     "BruteForceMatcher",
@@ -48,40 +47,110 @@ __all__ = [
 
 
 class BruteForceMatcher:
-    """Exhaustive matcher over a fixed reference set, packed once."""
+    """The exhaustive index: every stored descriptor, scanned in full.
+
+    The rows are one word-major ``(words, capacity)`` store that doubles when
+    full; the constructor allocates it once, at its final size. Each run of
+    equal ``image_id`` in an ``add`` is a segment of consecutive columns,
+    which stands in for a tree leaf in ``search_all_batch`` and
+    ``hit_references``. Every search reads the store in the word kernel's
+    distance blocks.
+    """
 
     def __init__(self, refs: Sequence[DescriptorEntry]):
-        self.refs = list(refs)
-        self._matrix = stack_descriptors(self.refs) if self.refs else None
+        self.refs: list[DescriptorEntry] = []
+        self._columns: np.ndarray | None = None
+        self._starts: list[int] = []
+        self._image_ids: list[int] = []
+        self.add(refs)
+
+    def _words(self, matrix: np.ndarray) -> np.ndarray:
+        """(n, W) packed rows as uint64 words; ValueError unless W is the stored width."""
+        width = len(self.refs[0].descriptor) if self.refs else matrix.shape[1]
+        if matrix.shape[1] != width:
+            raise ValueError(f"width mismatch: {matrix.shape[1]} vs {width} bytes")
+        return _to_words(matrix)
+
+    def add(self, entries: Sequence[DescriptorEntry]) -> None:
+        """Store ``entries`` after the rows already held, in order."""
+        entries = list(entries)
+        if not entries:
+            return
+        words = self._words(stack_descriptors(entries))
+        lo = len(self.refs)
+        hi = lo + words.shape[0]
+        if self._columns is None or hi > self._columns.shape[1]:
+            grown = np.empty((words.shape[1], max(2 * lo, hi)), dtype=np.uint64)
+            if lo:
+                grown[:, :lo] = self._columns[:, :lo]
+            self._columns = grown
+        self._columns[:, lo:hi] = words.T
+        ids = _image_id_column(entries)
+        firsts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        self._starts.extend((lo + firsts).tolist())
+        self._image_ids.extend(ids[firsts].tolist())
+        self.refs.extend(entries)
 
     def distances(self, query_descriptor: np.ndarray) -> np.ndarray:
         """Hamming distance from the query to every reference, in order."""
-        if self._matrix is None:
+        if not self.refs:
             return np.empty(0, dtype=np.int32)
-        return hamming_distances(query_descriptor, self._matrix)
+        query = self._words(np.asarray(query_descriptor, dtype=np.uint8)[None])
+        return next(_distance_blocks(query, self._columns[:, : len(self.refs)]))[1][0]
 
     def nearest(self, query: DescriptorEntry, tau: int) -> MatchRecord | None:
         """Global minimum-distance reference if within tau; ties go to the
         first reference in sequence order."""
-        if not self.refs:
-            return None
         dists = self.distances(query.descriptor)
-        idx = int(np.argmin(dists))
-        dist = int(dists[idx])
-        if dist > tau:
+        idx = int(dists.argmin()) if dists.size else None
+        if idx is None or dists[idx] > tau:
             return None
-        return MatchRecord(query=query, reference=self.refs[idx], distance=dist)
+        return MatchRecord(query=query, reference=self.refs[idx], distance=int(dists[idx]))
 
     def all_within(self, query: DescriptorEntry, tau: int) -> list[MatchRecord]:
         """Every reference within tau, in sequence order."""
-        if not self.refs:
-            return []
         dists = self.distances(query.descriptor)
         hits = np.nonzero(dists <= tau)[0]
         return [
             MatchRecord(query=query, reference=self.refs[i], distance=int(dists[i]))
             for i in hits
         ]
+
+    def search_all_batch(self, queries: np.ndarray, tau: int) -> LeafHits:
+        """Per row of an (n, W) packed query matrix, each segment's closest
+        distance within tau, by query, then segment. A distance block is cut
+        to its segment minima and their hits, so only the hits outlive it."""
+        words = self._words(np.asarray(queries, dtype=np.uint8))
+        empty = np.empty(0, dtype=np.intp)
+        parts = [(empty, empty, np.empty(0, dtype=np.int32))]
+        if self.refs:
+            starts = np.asarray(self._starts, dtype=np.intp)
+            for first, dist in _distance_blocks(words, self._columns[:, : len(self.refs)]):
+                minima = np.minimum.reduceat(dist, starts, axis=1)
+                query, segment = np.nonzero(minima <= tau)
+                parts.append((first + query, segment, minima[query, segment]))
+        query, segment, distance = (np.concatenate(cols) for cols in zip(*parts))
+        image_id = np.asarray(self._image_ids, dtype=np.int64)[segment]
+        return LeafHits(query, segment, image_id, distance, leaves=[])
+
+    def hit_references(
+        self, hits: LeafHits, which: np.ndarray, queries: np.ndarray
+    ) -> list[DescriptorEntry]:
+        """Per hit in ``which``, its segment's first row at the hit's distance,
+        the earliest insertion among the closest; a segment is matched against
+        all of its hits' queries at once."""
+        segment, query, distance = hits.position[which], hits.query[which], hits.distance[which]
+        words = _to_words(queries)
+        ends = self._starts[1:] + [len(self.refs)]
+        rows = np.empty(len(segment), dtype=np.intp)
+        for k in np.unique(segment).tolist():
+            group = np.flatnonzero(segment == k)
+            lo = self._starts[k]
+            stored = self._columns[:, lo : ends[k]]
+            for first, dist in _distance_blocks(words[query[group]], stored):
+                part = group[first : first + dist.shape[0]]
+                rows[part] = lo + np.argmax(dist == distance[part, None], axis=1)
+        return [self.refs[row] for row in rows.tolist()]
 
 
 def brute_force_nearest(

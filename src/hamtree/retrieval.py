@@ -19,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .descriptor import DescriptorEntry, stack_descriptors
-from .tree import HammingTree, MatchRecord
+from .oracle import BruteForceMatcher
+from .tree import HammingTree, LeafHits, MatchRecord
 
 __all__ = ["ImageScore", "RetrievalConfig", "query_image", "retrieve_best", "retrieve_above"]
 
@@ -51,8 +52,18 @@ class RetrievalConfig:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
 
 
+def _closest_hits(hits: LeafHits, key: np.ndarray) -> np.ndarray:
+    """Index of each distinct ``key``'s closest hit, in ascending key order;
+    among equally close hits the smallest ``position`` (the earliest leaf row
+    or matcher segment) wins, so the earliest insertion does."""
+    order = np.lexsort((hits.position, hits.distance, key))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    return order[first]
+
+
 def query_image(
-    tree: HammingTree,
+    tree: HammingTree | BruteForceMatcher,
     query_entries: Sequence[DescriptorEntry],
     config: RetrievalConfig | None = None,
     collect_matches: bool = True,
@@ -66,10 +77,11 @@ def query_image(
     smaller image_id. The query entries must all belong to one image, and the
     tree is expected not to contain that image.
 
-    ``tree`` is a ``HammingTree`` or the exhaustive index behind
-    ``run_protocol_brute_force``. Either answers all queries in one
-    ``search_all_batch`` call; the votes are counted over its hit arrays, and
-    ``hit_references`` looks up the voted entries only to collect matches.
+    ``tree`` is a ``HammingTree`` or a ``BruteForceMatcher``, the exhaustive
+    index behind ``run_protocol_brute_force``. Either answers all queries in
+    one ``search_all_batch`` call; the votes are counted over its hit arrays.
+    Only to collect matches, ``_closest_hits`` keyed by (query, image) picks
+    each vote's hit and ``hit_references`` looks up its entry.
     """
     if config is None:
         config = RetrievalConfig()
@@ -84,15 +96,7 @@ def query_image(
     images, image_code = np.unique(hits.image_id, return_inverse=True)
     # A vote is a distinct (query, image) pair among the hits.
     pair = hits.query * len(images) + image_code
-    if collect_matches:
-        # The vote's record is the pair's closest hit, the earliest-inserted
-        # (smallest leaf position) among equally close ones.
-        order = np.lexsort((hits.position, hits.distance, pair))
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = pair[order[1:]] != pair[order[:-1]]
-        voted = order[first]
-    else:
-        voted = np.unique(pair, return_index=True)[1]
+    voted = _closest_hits(hits, pair) if collect_matches else np.unique(pair, return_index=True)[1]
     votes = np.bincount(image_code[voted], minlength=len(images))
     matches: list[list[MatchRecord]] = [[] for _ in range(len(images))]
     if collect_matches:

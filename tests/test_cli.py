@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hamtree import DescriptorEntry, read_descriptor_file, write_descriptor_file
+from hamtree import (
+    DescriptorEntry,
+    HammingTree,
+    TreeConfig,
+    random_descriptors,
+    read_descriptor_file,
+    write_descriptor_file,
+)
 from hamtree.descriptor import flip_bits
 from hamtree.cli import main
 
@@ -161,6 +168,53 @@ def test_match_compare_bruteforce_reports_speedup(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "speedup" in printed
     assert "mean per-query work" in printed
+
+
+def per_query_match(db_entries, dim_bits, query_entries, tau, n_max, delta_max):
+    """The CSV text and the "matched" and "mean per-query work" lines of
+    ``match``, from one ``search_nearest`` call per query."""
+    tree = HammingTree.build_balanced(
+        db_entries, TreeConfig(tau=tau, delta_max=delta_max, n_max=n_max), dim_bits
+    )
+    results = [tree.search_nearest(entry, tau) for entry in query_entries]
+    lines = ["query_image,query_kp,ref_image,ref_kp,distance"]
+    for m in (r.best for r in results if r.best is not None):
+        lines.append(f"{m.query.image_id},{m.query.keypoint_id},"
+                     f"{m.reference.image_id},{m.reference.keypoint_id},{m.distance}")
+    found = sum(r.best is not None for r in results)
+    work = float(np.mean([r.depth_traversed + r.leaf_scanned for r in results]))
+    return ("\n".join(lines) + "\n", f"matched {found}/{len(query_entries)} ",
+            f"mean per-query work: {work:.1f} of {len(db_entries)} ")
+
+
+def test_match_output_equals_the_per_query_search(tmp_path, capsys):
+    # Rows repeat across images, so equal minima in one leaf are common and
+    # the first row inserted must win each of them.
+    rng = np.random.default_rng(33)
+    base = random_descriptors(60, 64, rng)
+    db_entries = []
+    for image in range(4):
+        picked = rng.choice(len(base), size=40, replace=False)
+        db_entries += [DescriptorEntry(base[i], image, kp) for kp, i in enumerate(picked)]
+    query_entries = [
+        DescriptorEntry(flip_bits(base[i], rng.choice(64, size=int(rng.integers(0, 6)),
+                                                      replace=False)), 7, kp)
+        for kp, i in enumerate(rng.choice(len(base), size=80))
+    ]
+    db, query = tmp_path / "db.hbd", tmp_path / "q.hbd"
+    write_descriptor_file(db, db_entries, 64)
+    write_descriptor_file(query, query_entries, 64)
+    for tau, n_max, delta_max in ((3, 10, 0.1), (64, 3, 0.5), (0, 200, 0.1)):
+        out = tmp_path / "m.csv"
+        assert run("match", "--db", db, "--query", query, "--tau", tau, "--nmax", n_max,
+                   "--delta-max", delta_max, "--output", out, "--compare-bruteforce") == 0
+        printed = capsys.readouterr().out.splitlines()
+        csv, matched, work = per_query_match(
+            *read_descriptor_file(db), read_descriptor_file(query)[0], tau, n_max, delta_max
+        )
+        assert out.read_text() == csv
+        assert printed[0].startswith(matched)
+        assert printed[2].startswith(work)
 
 
 # ----------------------------------------------------------------------

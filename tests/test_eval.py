@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hamtree.descriptor
-import hamtree.evaluation
+import hamtree.oracle
 from hamtree import (
     GroundTruth,
     GroundTruthParams,
@@ -448,7 +448,7 @@ def test_brute_force_protocol_resolves_rows_only_for_collected_matches():
     matrix = random_descriptors(20, 64, rng)
     images = [make_entries(matrix, image_id=i) for i in range(4)]
     resolve = mock.Mock(side_effect=AssertionError("rows resolved"))
-    with mock.patch.object(hamtree.evaluation._ExhaustiveIndex, "hit_references", resolve):
+    with mock.patch.object(hamtree.oracle.BruteForceMatcher, "hit_references", resolve):
         result = run_protocol_brute_force(images, RetrievalConfig(tau=0))
     assert [len(s) for s in result.scores] == [0, 1, 2, 3]
     assert all(s.votes == 20 and not s.matches for scores in result.scores for s in scores)

@@ -418,8 +418,13 @@ def test_repeated_split_bit_is_rejected():
     empty = lambda: LeafNode(256)  # noqa: E731
     inner = InternalNode(7, empty(), empty())
     tree = HammingTree(256, TreeConfig(), root=InternalNode(7, inner, empty()))
-    with pytest.raises(FormatError, match="repeats"):
-        deserialize_tree(serialize_tree(tree))
+    blob = serialize_tree(tree)
+    with pytest.raises(FormatError, match="repeats") as rejected:
+        deserialize_tree(blob)
+    # The parser's message is the validator's for the same stream, loaded unchecked.
+    with pytest.raises(ValueError) as caught:
+        reference_deserialize_tree(blob).check_invariants()
+    assert str(rejected.value) == str(caught.value)
 
 
 def test_repeated_bit_on_a_sibling_path_is_allowed():
