@@ -216,35 +216,48 @@ def _count_rows(within: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray
 
 
 def _completeness_pass(
-    q_matrix: np.ndarray, r_matrix: np.ndarray, taus: Sequence[int], dim_bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per tau, each query's feasible-set size and the per-bit curve.
+    q_matrix: np.ndarray,
+    r_matrix: np.ndarray,
+    taus: Sequence[int],
+    dim_bits: int,
+    leaf_ids: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per tau, each query's feasible-set size, what each tree finds of it,
+    and the per-bit curve.
 
     A query's completeness for a split on bit k is the share of its feasible
     set on its own side, ``1 - mean(x_k)`` over ``x = q XOR r``, or 1 when
     the set is empty. So the curve is ``1 - (1/n_q) * sum(w * x_k)`` over
-    the feasible pairs, with ``w = 1 / |F_q(tau)|``. A distance block holds
-    whole query rows, so its pairs are final when it is produced; their XOR
-    bits are unpacked in chunks whose float64 copy stays under
-    ``_COUNT_BLOCK_BYTES``, and nothing of size O(pairs) outlives the block.
+    the feasible pairs, with ``w = 1 / |F_q(tau)|``. ``leaf_ids`` holds one
+    (query leaf ids, reference leaf ids) pair per tree: a search returns
+    exactly the feasible pairs whose two leaf ids are equal, so those are
+    counted per tree as ``found``, shaped (trees, taus, n_q). A distance
+    block holds whole query rows, so its pairs are final when it is
+    produced; their XOR bits are unpacked in chunks whose float64 copy stays
+    under ``_COUNT_BLOCK_BYTES``, and nothing of size O(pairs) outlives the
+    block.
     """
     n_q = q_matrix.shape[0]
     sizes = np.empty((len(taus), n_q), dtype=np.int64)
+    found = np.empty((len(leaf_ids), len(taus), n_q), dtype=np.int64)
     lost = np.zeros((len(taus), dim_bits))
     q_words, r_words = _to_words(q_matrix), _to_words(r_matrix)
     step = max(1, _COUNT_BLOCK_BYTES // (8 * dim_bits))
     for start, dists in _distance_blocks(q_words, _word_columns(r_matrix)):
+        rows = slice(start, start + dists.shape[0])
         qi, ri = np.nonzero(dists <= max(taus))
         within = dists[qi, ri] <= np.asarray(taus)[:, None]
-        block = _count_rows(within, qi, dists.shape[0])
-        sizes[:, start : start + dists.shape[0]] = block
+        block = sizes[:, rows] = _count_rows(within, qi, dists.shape[0])
+        for t, (q_leaf, r_leaf) in enumerate(leaf_ids):
+            same = q_leaf[start + qi] == r_leaf[ri]
+            found[t, :, rows] = _count_rows(within & same, qi, dists.shape[0])
         weights = within / np.maximum(block, 1)[:, qi]
         for lo in range(0, qi.size, step):
             xor = q_words[start + qi[lo : lo + step]] ^ r_words[ri[lo : lo + step]]
             lost += weights[:, lo : lo + step] @ unpack_bits(xor.view(np.uint8), dim_bits)
     # Each w is rounded, so a bit every feasible pair differs on can sum a
     # hair past n_q; the curve is a mean of values in [0, 1].
-    return sizes, np.clip(1.0 - lost / n_q, 0.0, 1.0)
+    return sizes, found, np.clip(1.0 - lost / n_q, 0.0, 1.0)
 
 
 def bitwise_completeness(
@@ -276,9 +289,12 @@ def depth_completeness(
 
     For each depth h a balanced tree is built with n_max=1 so the depth bound
     governs the structure. h=0 is a single leaf holding the whole corpus,
-    whose measured completeness is 1 by construction. Measured completeness
-    is averaged over all queries; the prediction raises the mean
-    single-level completeness to the h-th power. One report per threshold.
+    whose measured completeness is 1 by construction. No search is run: a
+    query's share at depth h counts its feasible pairs whose reference
+    reaches the same leaf of that tree, which is what a search returns.
+    Measured completeness is averaged over all queries; the prediction
+    raises the mean single-level completeness to the h-th power. One report
+    per threshold.
     Raises ValueError unless ``dim_bits`` (default: the full byte width)
     fits the descriptors' byte width.
     """
@@ -297,28 +313,27 @@ def depth_completeness(
     depths = sorted(set(int(h) for h in depths))
     if depths and depths[0] < 0:
         raise ValueError(f"depths must be non-negative, got {depths[0]}")
-    feasible, per_bit = _completeness_pass(q_matrix, r_matrix, taus, dim_bits)
-    n_q = q_matrix.shape[0]
     tau_max = min(max(taus), dim_bits)
-
-    measured: dict[int, dict[int, float]] = {tau: {} for tau in taus}
+    # Each reference sits in the leaf its own bits route to (the rule that
+    # ``check_invariants`` enforces), so one descent of the references and
+    # one of the queries per tree say which feasible pairs a search finds.
+    leaf_ids = []
     for h in depths:
-        ratio = np.ones(feasible.shape)
-        # A single leaf holding every reference returns exactly each query's
-        # feasible set, so depth 0 is answered without a tree.
         if h > 0:
             # delta_max 0.5 admits every bit, so the depth bound alone stops splits.
             config = TreeConfig(tau=tau_max, delta_max=0.5, n_max=1, max_depth=h)
             tree = HammingTree.build_balanced(refs, config, dim_bits)
-            hits = tree.search_all_batch(q_matrix, tau_max)
-            found = _count_rows(hits.distance <= np.asarray(taus)[:, None], hits.query, n_q)
-            over = (found > feasible).any(axis=1)
-            if over.any():
-                raise ValueError(
-                    "tree search returned more matches than the "
-                    f"brute-force feasible set at tau={taus[int(np.argmax(over))]}"
-                )
-            np.divide(found, feasible, out=ratio, where=feasible > 0)
+            leaf_ids.append((tree._leaf_ids(q_matrix)[0], tree._leaf_ids(r_matrix)[0]))
+    feasible, found, per_bit = _completeness_pass(q_matrix, r_matrix, taus, dim_bits, leaf_ids)
+
+    measured: dict[int, dict[int, float]] = {tau: {} for tau in taus}
+    # A single leaf holding every reference returns exactly each query's
+    # feasible set, so depth 0 needs no tree; the trees follow in depth order.
+    trees = iter(found)
+    for h in depths:
+        ratio = np.ones(feasible.shape)
+        if h > 0:
+            np.divide(next(trees), feasible, out=ratio, where=feasible > 0)
         for tau, value in zip(taus, ratio.mean(axis=1)):
             measured[tau][h] = float(value)
 

@@ -9,8 +9,9 @@ incremental insertion with leaf splitting, and greedy nearest / range search.
 Trees are single-writer / multi-reader: any number of concurrent searches may
 run against an unchanging tree, while ``insert`` and ``search_and_insert``
 require exclusive access. A read writes two things. The first ``search_all``
-or ``search_all_batch`` builds the tree's routing arrays (``_Routes``) from
-the node graph and later ones reuse them; concurrent first reads build equal
+or batched descent (``search_all_batch``, or the completeness sweep's
+``_leaf_ids``) builds the tree's routing arrays (``_Routes``) from the node
+graph and later ones reuse them; concurrent first reads build equal
 arrays, and whichever is stored last is kept. A split keeps the arrays up to
 date and assigning ``root`` drops them, so a caller that edits nodes in place
 after a range search must assign ``root`` again before the next one. And on a
@@ -34,12 +35,9 @@ from .descriptor import (
     descriptor_to_int,
     _UINT8,
     _bit_counts,
-    _distance_blocks,
     _row_popcount,
     _scan_distances,
     _stack_checked,
-    _to_words,
-    _word_columns,
 )
 
 __all__ = [
@@ -59,18 +57,6 @@ __all__ = [
 # query whose leaf alone is larger is scanned on its own), so an oversize
 # leaf reached by many queries cannot blow up memory.
 _SCAN_CHUNK_BYTES = 1 << 23
-
-# Fewest (queries x rows) pairs on one leaf for which ``search_all_batch``
-# scans that leaf once with the word kernel instead of gathering its rows
-# once per query. On a 2-vCPU x86-64 host (256-bit rows, 16 leaves of 10 to
-# 400 rows, each reached by 10 to 400 queries) the two broke even between
-# 1,000 and 2,000 pairs per leaf; the kernel was 1.9x faster at 2,500 pairs
-# and 3.2x at 10,000 and more. In a depth sweep of 5000 queries over 5000
-# rows, depth 6 (about 6,000 pairs per leaf) took 14 ms through the kernel
-# against 36 ms gathered, and depth 7 (about 1,500) 25 against 23 ms. A
-# 1000-descriptor image against a 1e5-descriptor tree of 50-row leaves puts
-# at most about 3,300 pairs on one leaf, so such a query stays on the gather.
-_KERNEL_MIN_PAIRS = 4096
 
 # Held while a loaded leaf makes an entry, so that threads reading one row
 # for the first time at once all get the entry that is cached.
@@ -751,59 +737,38 @@ class HammingTree:
             for i, d in zip(hits.tolist(), dists[hits].tolist())
         ]
 
-    def search_all_batch(self, queries: np.ndarray, tau: int | None = None) -> LeafHits:
-        """``search_all`` for every row of an (n, W) packed query matrix.
-
-        All rows descend together over the routing arrays, built on the
-        first call (ValueError for a split bit outside the width). A leaf
-        reached by queries whose pairs with its rows number at least
-        ``_KERNEL_MIN_PAIRS`` is scanned once for all of them by the word
-        kernel; the other queries' leaf rows are gathered into blocks and
-        compared with one XOR and popcount. Both bound their working memory
-        by ``_SCAN_CHUNK_BYTES``: the gather takes consecutive runs of
-        queries whose rows stay under it (a query whose leaf alone is larger
-        is scanned on its own).
-        """
-        queries = np.ascontiguousarray(queries, dtype=np.uint8)
+    def _leaf_ids(self, queries: np.ndarray) -> tuple[np.ndarray, list[LeafNode]]:
+        """Id of the leaf each row of an (n, W) packed uint8 matrix reaches,
+        and the leaves by id. All rows descend together over the routing
+        arrays, built on the first call; ValueError for a matrix of another
+        width or a split bit outside the width."""
         nbytes = descriptor_nbytes(self.dim_bits)
         if queries.ndim != 2 or queries.shape[1] != nbytes:
             raise ValueError(
                 f"query matrix has shape {queries.shape}, tree expects (n, {nbytes})"
             )
-        if tau is None:
-            tau = self.config.tau
         routes = self._routes
         if routes is None:
             routes = self._routes = _Routes(self)
-        leaf_ids = routes.descend(queries)
-        leaves = [routes.leaves[k] for k in leaf_ids.tolist()]
+        return routes.descend(queries), routes.leaves
+
+    def search_all_batch(self, queries: np.ndarray, tau: int | None = None) -> LeafHits:
+        """``search_all`` for every row of an (n, W) packed query matrix.
+
+        The rows descend together (``_leaf_ids``). The reached leaves' rows
+        are then gathered into blocks and compared with one XOR and popcount
+        per block. A block takes a run of consecutive queries whose rows stay
+        under ``_SCAN_CHUNK_BYTES``; a query whose leaf alone is larger is
+        scanned on its own.
+        """
+        queries = np.ascontiguousarray(queries, dtype=np.uint8)
+        if tau is None:
+            tau = self.config.tau
+        leaf_ids, by_id = self._leaf_ids(queries)
+        leaves = [by_id[k] for k in leaf_ids.tolist()]
         sizes = np.array([len(leaf) for leaf in leaves], dtype=np.int64)
-        reach = np.bincount(leaf_ids, minlength=len(routes.leaves))
-        heavy = reach[leaf_ids] * sizes >= _KERNEL_MIN_PAIRS
-        if not heavy.any():
-            parts = _gather_scan(queries, leaves, sizes, tau)
-            return LeafHits(*(np.concatenate(cols) for cols in zip(*parts)), leaves=leaves)
-        light = np.flatnonzero(~heavy)
-        parts = [
-            (light[q], *rest) for q, *rest in
-            _gather_scan(queries[light], [leaves[q] for q in light.tolist()], sizes[light], tau)
-        ]
-        heavy = np.flatnonzero(heavy)
-        heavy = heavy[np.argsort(leaf_ids[heavy], kind="stable")]
-        for group in np.split(heavy, np.flatnonzero(np.diff(leaf_ids[heavy])) + 1):
-            leaf = leaves[group[0]]
-            blocks = _distance_blocks(
-                _to_words(queries[group]), _word_columns(leaf.packed()), _SCAN_CHUNK_BYTES
-            )
-            for start, dist in blocks:
-                row, position = np.nonzero(dist <= tau)
-                parts.append((group[start + row], position, leaf.image_ids()[position],
-                              dist[row, position]))
-        query, position, image_id, distance = (np.concatenate(cols) for cols in zip(*parts))
-        # Each query's hits come from one part, in leaf order already.
-        order = np.argsort(query, kind="stable")
-        return LeafHits(query[order], position[order], image_id[order], distance[order],
-                        leaves=leaves)
+        parts = _gather_scan(queries, leaves, sizes, tau)
+        return LeafHits(*(np.concatenate(cols) for cols in zip(*parts)), leaves=leaves)
 
     def hit_references(
         self, hits: LeafHits, which: np.ndarray, queries: np.ndarray

@@ -163,19 +163,13 @@ def test_query_image_equals_dict_vote_with_lookup_table_popcount(case, collect_m
 
 
 @PROPERTY
-@given(case=cases(), cap=st.sampled_from([None, 1, 40, 300]),
-       min_pairs=st.sampled_from([None, 0, 1 << 62]))
-def test_search_all_batch_equals_per_query_search_all(case, cap, min_pairs):
-    # A pair threshold of 0 sends every leaf through the word kernel, one
-    # of 2**62 every leaf through the gather.
+@given(case=cases(), cap=st.sampled_from([None, 1, 40, 300]))
+def test_search_all_batch_equals_per_query_search_all(case, cap):
     dim_bytes = (case.tree.dim_bits + 7) // 8
     matrix = (np.stack([q.descriptor for q in case.queries]) if case.queries
               else np.empty((0, dim_bytes), dtype=np.uint8))
     cap_bytes = hamtree.tree._SCAN_CHUNK_BYTES if cap is None else cap
-    if min_pairs is None:
-        min_pairs = hamtree.tree._KERNEL_MIN_PAIRS
-    with mock.patch.object(hamtree.tree, "_SCAN_CHUNK_BYTES", cap_bytes), \
-            mock.patch.object(hamtree.tree, "_KERNEL_MIN_PAIRS", min_pairs):
+    with mock.patch.object(hamtree.tree, "_SCAN_CHUNK_BYTES", cap_bytes):
         hits = case.tree.search_all_batch(matrix, case.tau)
     want = []
     for qi, query in enumerate(case.queries):

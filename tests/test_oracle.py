@@ -333,22 +333,6 @@ def test_depth_completeness_matches_per_query_loop():
             )
 
 
-def test_depth_completeness_rejects_tree_finding_more_than_brute_force(monkeypatch):
-    queries, refs = make_noisy_duplicate_corpus(1, 40, 64, max_flips=4, seed=22)
-    real = HammingTree.search_all_batch
-
-    def doubled(self, matrix, tau=None):
-        hits = real(self, matrix, tau)
-        for name in ("query", "position", "image_id", "distance"):
-            column = getattr(hits, name)
-            setattr(hits, name, np.concatenate([column, column]))
-        return hits
-
-    monkeypatch.setattr(HammingTree, "search_all_batch", doubled)
-    with pytest.raises(ValueError, match="more matches"):
-        depth_completeness(queries, refs, [4], [1], 64)
-
-
 def test_depth_completeness_answers_depth_zero_without_a_tree(monkeypatch):
     queries, refs = make_noisy_duplicate_corpus(2, 60, 64, max_flips=8, seed=23)
     built = []
@@ -493,16 +477,23 @@ def test_completeness_equals_the_per_query_feasible_sets(case, hardware_popcount
         assert report.per_depth_predicted == pytest.approx(predicted[report.tau], abs=1e-12)
 
 
-def test_completeness_pass_holds_nothing_the_size_of_the_pairs():
-    # At tau = width all 4e6 pairs are feasible. One index array per query
-    # and tau peaked at 33.8 MB here; the pass keeps only per-block arrays.
-    queries, refs = make_noisy_duplicate_corpus(2, 1000, 64, max_flips=8, seed=24)
+def traced_peak(run):
+    """``run()``'s result and the peak memory tracemalloc saw while it ran."""
     tracemalloc.start()
     try:
-        curves = bitwise_completeness(queries, refs, [64], 64)
-        peak = tracemalloc.get_traced_memory()[1]
+        return run(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_completeness_pass_holds_nothing_the_size_of_the_pairs():
+    # At tau = width all 4e6 pairs are feasible. One index array per query
+    # and tau peaked at 33.8 MB here, and the depth sweep's tree search hits
+    # at 191.2 MiB; the pass keeps only per-block arrays.
+    queries, refs = make_noisy_duplicate_corpus(2, 1000, 64, max_flips=8, seed=24)
+    curves, peak = traced_peak(lambda: bitwise_completeness(queries, refs, [64], 64))
+    assert peak < 16 * 2**20
+    _, peak = traced_peak(lambda: depth_completeness(queries, refs, [64], [0, 1, 2, 3], 64))
     assert peak < 16 * 2**20
     # Every reference is feasible, so each curve value is the mean share of
     # the references on the query's side of the split.

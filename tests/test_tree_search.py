@@ -14,6 +14,7 @@ from hamtree import (
     pack_bits,
     random_descriptors,
 )
+from hamtree.descriptor import flip_bits
 
 from conftest import make_entries
 
@@ -177,15 +178,57 @@ def test_search_and_insert_half_novel_image():
     assert matched == 20
 
 
+def search_outcome(result):
+    """A SearchResult as comparable values, with the matched entry by identity."""
+    best = result.best
+    match = None if best is None else (id(best.query), id(best.reference), best.distance)
+    return match, result.leaf_scanned, result.depth_traversed
+
+
+def test_search_and_insert_answers_from_the_tree_at_call_entry():
+    # Each image holds noisy copies of stored rows and one row twice, so
+    # searches hit stored entries, and a search made after the image's own
+    # inserts would match the twin at distance 0.
+    rng = np.random.default_rng(72)
+    config = TreeConfig(tau=6, delta_max=0.5, n_max=4)
+    tree, twin = HammingTree(64, config), HammingTree(64, config)
+    stored = random_descriptors(1, 64, rng)
+    matched = 0
+    for image_id in range(15):
+        matrix = random_descriptors(8, 64, rng)
+        for row in range(4):
+            flips = rng.choice(64, size=int(rng.integers(0, 5)), replace=False)
+            matrix[row] = flip_bits(stored[rng.integers(0, len(stored))], flips)
+        matrix[7] = matrix[6]
+        entries = make_entries(matrix, image_id=image_id)
+        before = [search_outcome(tree.search_nearest(e)) for e in entries]
+        results = tree.search_and_insert(entries)
+        assert [search_outcome(r) for r in results] == before
+        assert all(r.best is None or r.best.reference.image_id != image_id for r in results)
+        matched += sum(r.best is not None for r in results)
+        twin.add(entries)
+        assert tree.structurally_equal(twin)
+        assert tree.count == twin.count
+        stored = np.vstack([stored, matrix])
+    assert matched > 0
+    assert tree.depth_stats().max_depth > 1
+
+
 def test_search_and_insert_rejects_mixed_images():
     import pytest
 
     rng = np.random.default_rng(70)
-    tree = HammingTree(256, TreeConfig())
-    entries = make_entries(random_descriptors(2, 256, rng), image_id=0)
-    entries += make_entries(random_descriptors(2, 256, rng), image_id=1)
+    config = TreeConfig(n_max=4, delta_max=0.5)
+    stored = make_entries(random_descriptors(40, 256, rng), image_id=0)
+    tree, twin = HammingTree(256, config), HammingTree(256, config)
+    tree.add(stored)
+    twin.add(stored)
+    entries = make_entries(random_descriptors(2, 256, rng), image_id=1)
+    entries += make_entries(random_descriptors(2, 256, rng), image_id=2)
     with pytest.raises(ValueError):
         tree.search_and_insert(entries)
+    assert tree.count == 40
+    assert tree.structurally_equal(twin)
 
 
 def test_concurrent_readers_see_identical_results():
