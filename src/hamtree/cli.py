@@ -149,16 +149,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _nearest(index: HammingTree | BruteForceMatcher, queries: np.ndarray, tau: int):
-    """The hits of ``queries`` at ``tau``, and per query row with a match its
-    (row, distance, entry): ``search_nearest`` on a tree, ``nearest`` on a
-    matcher, with the earliest-inserted entry winning a tie."""
-    hits = index.search_all_batch(queries, tau)
-    best = _closest_hits(hits, hits.query)
-    references = index.hit_references(hits, best, queries)
-    return hits, list(zip(hits.query[best].tolist(), hits.distance[best].tolist(), references))
-
-
 def _cmd_match(args) -> int:
     db_entries, db_dim = read_descriptor_file(args.db)
     query_entries, query_dim = read_descriptor_file(args.query)
@@ -171,21 +161,26 @@ def _cmd_match(args) -> int:
     # The routing arrays are made, like the matcher's store, before the clock.
     tree.search_all_batch(queries[:0])
 
+    # Per query, search_nearest's answer; hits are bounded by the reached leaves.
     tree_start = time.perf_counter()
-    hits, nearest = _nearest(tree, queries, args.tau)
+    hits = tree.search_all_batch(queries, args.tau)
+    best = _closest_hits(hits, hits.query)
+    references = tree.hit_references(hits, best, queries)
     tree_seconds = time.perf_counter() - tree_start
 
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("query_image,query_kp,ref_image,ref_kp,distance\n")
-        for q, distance, ref in nearest:
+        for q, distance, ref in zip(hits.query[best].tolist(), hits.distance[best].tolist(),
+                                    references):
             fh.write(f"{query_entries[q].image_id},{query_entries[q].keypoint_id},"
                      f"{ref.image_id},{ref.keypoint_id},{distance}\n")
-    print(f"matched {len(nearest)}/{len(query_entries)} query descriptors -> {args.output}")
+    print(f"matched {len(best)}/{len(query_entries)} query descriptors -> {args.output}")
 
     if args.compare_bruteforce:
         matcher = BruteForceMatcher(db_entries)
         bf_start = time.perf_counter()
-        _nearest(matcher, queries, args.tau)
+        if matcher.refs:  # each query's first stored row at its minimum, timed only
+            matcher._nearest_rows(matcher._words(queries), 0, len(matcher.refs))
         bf_seconds = time.perf_counter() - bf_start
         # search_nearest's depth_traversed + leaf_scanned, per query.
         depth = {id(leaf): d for leaf, d in tree._iter_leaves()}

@@ -54,7 +54,7 @@ class BruteForceMatcher:
     equal ``image_id`` in an ``add`` is a segment of consecutive columns,
     which stands in for a tree leaf in ``search_all_batch`` and
     ``hit_references``. Every search reads the store in the word kernel's
-    distance blocks.
+    distance blocks; ``_nearest_rows`` finds the first row at the minimum.
     """
 
     def __init__(self, refs: Sequence[DescriptorEntry]):
@@ -98,14 +98,28 @@ class BruteForceMatcher:
         query = self._words(np.asarray(query_descriptor, dtype=np.uint8)[None])
         return next(_distance_blocks(query, self._columns[:, : len(self.refs)]))[1][0]
 
+    def _nearest_rows(self, words: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of the (n, words) query words, the earliest stored row in
+        ``[lo, hi)`` at its minimum distance, and that distance: one pass over
+        the distance blocks, with only the two length-n results outliving one."""
+        rows = np.empty(len(words), dtype=np.intp)
+        distance = np.empty(len(words), dtype=np.int32)
+        for first, dist in _distance_blocks(words, self._columns[:, lo:hi]):
+            part = slice(first, first + dist.shape[0])
+            rows[part] = dist.argmin(axis=1)
+            distance[part] = np.take_along_axis(dist, rows[part, None], axis=1)[:, 0]
+        return lo + rows, distance
+
     def nearest(self, query: DescriptorEntry, tau: int) -> MatchRecord | None:
         """Global minimum-distance reference if within tau; ties go to the
-        first reference in sequence order."""
-        dists = self.distances(query.descriptor)
-        idx = int(dists.argmin()) if dists.size else None
-        if idx is None or dists[idx] > tau:
+        first reference in sequence order. ``_nearest_rows`` on one row."""
+        if not self.refs:
             return None
-        return MatchRecord(query=query, reference=self.refs[idx], distance=int(dists[idx]))
+        words = self._words(np.asarray(query.descriptor, dtype=np.uint8)[None])
+        rows, distance = self._nearest_rows(words, 0, len(self.refs))
+        if distance[0] > tau:
+            return None
+        return MatchRecord(query=query, reference=self.refs[rows[0]], distance=int(distance[0]))
 
     def all_within(self, query: DescriptorEntry, tau: int) -> list[MatchRecord]:
         """Every reference within tau, in sequence order."""
@@ -137,19 +151,15 @@ class BruteForceMatcher:
         self, hits: LeafHits, which: np.ndarray, queries: np.ndarray
     ) -> list[DescriptorEntry]:
         """Per hit in ``which``, its segment's first row at the hit's distance,
-        the earliest insertion among the closest; a segment is matched against
+        which is the segment minimum: one ``_nearest_rows`` per segment, over
         all of its hits' queries at once."""
-        segment, query, distance = hits.position[which], hits.query[which], hits.distance[which]
+        segment, query = hits.position[which], hits.query[which]
         words = _to_words(queries)
         ends = self._starts[1:] + [len(self.refs)]
         rows = np.empty(len(segment), dtype=np.intp)
         for k in np.unique(segment).tolist():
             group = np.flatnonzero(segment == k)
-            lo = self._starts[k]
-            stored = self._columns[:, lo : ends[k]]
-            for first, dist in _distance_blocks(words[query[group]], stored):
-                part = group[first : first + dist.shape[0]]
-                rows[part] = lo + np.argmax(dist == distance[part, None], axis=1)
+            rows[group] = self._nearest_rows(words[query[group]], self._starts[k], ends[k])[0]
         return [self.refs[row] for row in rows.tolist()]
 
 

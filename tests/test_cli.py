@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import hamtree.cli
 from hamtree import (
+    BruteForceMatcher,
     DescriptorEntry,
     HammingTree,
     TreeConfig,
@@ -168,6 +172,49 @@ def test_match_compare_bruteforce_reports_speedup(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "speedup" in printed
     assert "mean per-query work" in printed
+
+
+def test_match_compare_bruteforce_on_an_empty_db(tmp_path, capsys):
+    corpus, _ = gen_corpus(tmp_path, images=2, per_image=10)
+    empty = tmp_path / "empty.hbd"
+    write_descriptor_file(empty, [], 256)
+    out = tmp_path / "m.csv"
+    capsys.readouterr()
+    assert run("match", "--db", empty, "--query", corpus, "--output", out,
+               "--compare-bruteforce") == 0
+    assert capsys.readouterr().out.startswith("matched 0/20 ")
+    assert out.read_text() == "query_image,query_kp,ref_image,ref_kp,distance\n"
+
+
+def test_match_brute_force_side_holds_nothing_the_size_of_the_hits(tmp_path, monkeypatch):
+    # At tau 256 every query is within tau of each of 5000 one-row images.
+    # One hit per (query, image), kept until one per query was picked, made
+    # the side from the matcher's build on peak at 57.2 MB; one row per query
+    # and one distance block at a time take 1.7 MB.
+    rng = np.random.default_rng(18)
+    db, query = tmp_path / "db.hbd", tmp_path / "q.hbd"
+    write_descriptor_file(db, [DescriptorEntry(row, i, 0) for i, row in
+                               enumerate(random_descriptors(5000, 256, rng))], 256)
+    write_descriptor_file(query, [DescriptorEntry(row, 5000, k) for k, row in
+                                  enumerate(random_descriptors(200, 256, rng))], 256)
+    before = []
+
+    def traced_matcher(entries):
+        # Everything from here on is the brute-force side.
+        before.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return BruteForceMatcher(entries)
+
+    monkeypatch.setattr(hamtree.cli, "BruteForceMatcher", traced_matcher)
+    tracemalloc.start()
+    try:
+        assert run("match", "--db", db, "--query", query, "--tau", 256,
+                   "--output", tmp_path / "m.csv", "--compare-bruteforce") == 0
+        peak = tracemalloc.get_traced_memory()[1] - before[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert len((tmp_path / "m.csv").read_text().splitlines()) == 1 + 200
 
 
 def per_query_match(db_entries, dim_bits, query_entries, tau, n_max, delta_max):

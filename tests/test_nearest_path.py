@@ -1,10 +1,14 @@
-"""The batched nearest path of ``match``, checked against the per-query searches.
+"""The batched nearest paths of ``match``, checked against independent references.
 
-``cli._nearest`` runs ``search_all_batch``, ``retrieval._closest_hits`` keyed
-by query, then ``hit_references``. On a tree it must give what
-``search_nearest`` gives for every query, and on a ``BruteForceMatcher`` what
-``nearest`` gives: the same distance, the same entry object (the first row
-inserted among equal minima), and nothing where the per-query call finds
+``match`` answers a tree with ``search_all_batch``, ``retrieval._closest_hits``
+keyed by query, then ``hit_references``; that must give what
+``search_nearest`` gives for every query. A ``BruteForceMatcher`` finds the
+first row at the minimum distance through one reduction, ``_nearest_rows``,
+which ``match``'s brute-force side, ``nearest`` and ``hit_references`` all
+call; its answer over any column range must be the first argmin of
+``distances`` over that range, the one-query scan that shares none of its
+code. "The same" means the same distance, the same entry object (the first
+row inserted among equal minima), and nothing where the reference finds
 nothing within tau.
 """
 
@@ -25,8 +29,8 @@ from hamtree import (
     random_descriptors,
     serialize_tree,
 )
-from hamtree.cli import _nearest
-from hamtree.descriptor import descriptor_nbytes, flip_bits, stack_descriptors
+from hamtree.descriptor import _to_words, descriptor_nbytes, flip_bits, stack_descriptors
+from hamtree.retrieval import _closest_hits
 
 from conftest import make_entries
 
@@ -69,12 +73,28 @@ def corpora(draw):
     return dim_bits, groups, queries, taus
 
 
-def assert_rows_equal(got, want) -> None:
-    """``got`` from ``_nearest``; ``want`` per query row, (distance, entry) or None."""
-    assert [q for q, _, _ in got] == [q for q, w in enumerate(want) if w is not None]
-    for q, distance, reference in got:
-        assert distance == want[q][0]
-        assert reference is want[q][1]
+def popcount(enabled: bool):
+    """The word kernel with the hardware popcount, or with the SWAR fallback."""
+    return mock.patch.object(
+        hamtree.descriptor, "_HAS_BITWISE_COUNT",
+        hamtree.descriptor._HAS_BITWISE_COUNT and enabled,
+    )
+
+
+def tree_nearest(tree: HammingTree, queries: np.ndarray, tau: int):
+    """``match``'s tree side: per query row with a match, (row, distance, entry)."""
+    hits = tree.search_all_batch(queries, tau)
+    best = _closest_hits(hits, hits.query)
+    references = tree.hit_references(hits, best, queries)
+    return list(zip(hits.query[best].tolist(), hits.distance[best].tolist(), references))
+
+
+def first_argmin(matcher: BruteForceMatcher, query: np.ndarray, lo: int, hi: int):
+    """(row, distance) of the first row in ``[lo, hi)`` at the minimum of
+    ``matcher.distances(query)``."""
+    dists = matcher.distances(query)[lo:hi]
+    row = int(np.flatnonzero(dists == dists.min())[0])
+    return lo + row, int(dists[row])
 
 
 @PROPERTY
@@ -94,23 +114,23 @@ def test_nearest_path_equals_search_nearest(corpus, kind, n_max, hardware_popcou
         tree.add(stored)
         if kind == "loaded":
             tree = deserialize_tree(serialize_tree(tree))
-    with mock.patch.object(
-        hamtree.descriptor, "_HAS_BITWISE_COUNT",
-        hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
-    ):
+    with popcount(hardware_popcount):
         query_entries = make_entries(queries, image_id=9)
         for tau in taus:
-            _, got = _nearest(tree, queries, tau)
-            want = []
-            for query in query_entries:
-                best = tree.search_nearest(query, tau).best
-                want.append(None if best is None else (best.distance, best.reference))
-            assert_rows_equal(got, want)
+            got = tree_nearest(tree, queries, tau)
+            want = [tree.search_nearest(query, tau).best for query in query_entries]
+            assert [q for q, _, _ in got] == [q for q, w in enumerate(want) if w is not None]
+            for q, distance, reference in got:
+                assert distance == want[q].distance
+                assert reference is want[q].reference
 
 
 @PROPERTY
-@given(corpus=corpora(), one_add=st.booleans(), hardware_popcount=st.booleans())
-def test_nearest_path_equals_brute_force_nearest(corpus, one_add, hardware_popcount):
+@given(corpus=corpora(), one_add=st.booleans(), hardware_popcount=st.booleans(),
+       one_row_blocks=st.booleans(), data=st.data())
+def test_nearest_path_equals_brute_force_nearest(
+    corpus, one_add, hardware_popcount, one_row_blocks, data
+):
     dim_bits, groups, queries, taus = corpus
     stored = [entry for group in groups for entry in group]
     if one_add:
@@ -120,28 +140,58 @@ def test_nearest_path_equals_brute_force_nearest(corpus, one_add, hardware_popco
         for group in groups:
             matcher.add(group)
     assert matcher.refs == stored
-    with mock.patch.object(
-        hamtree.descriptor, "_HAS_BITWISE_COUNT",
-        hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
-    ):
+    n = len(stored)
+    lo = data.draw(st.integers(0, n - 1))
+    ranges = [(0, n), (lo, data.draw(st.integers(lo + 1, n)))]
+    ranges += list(zip(matcher._starts, matcher._starts[1:] + [n]))
+    words = _to_words(queries)
+    # One query row per distance block exercises the block offsets.
+    block_bytes = 1 if one_row_blocks else hamtree.descriptor._BLOCK_TARGET_BYTES
+    with popcount(hardware_popcount), \
+            mock.patch.object(hamtree.descriptor, "_BLOCK_TARGET_BYTES", block_bytes):
+        for lo, hi in ranges:
+            rows, distance = matcher._nearest_rows(words, lo, hi)
+            want = [first_argmin(matcher, query, lo, hi) for query in queries]
+            assert list(zip(rows.tolist(), distance.tolist())) == want
+
         query_entries = make_entries(queries, image_id=9)
         for tau in taus:
-            _, got = _nearest(matcher, queries, tau)
-            want = []
-            for query in query_entries:
-                best = matcher.nearest(query, tau)
-                want.append(None if best is None else (best.distance, best.reference))
-            assert_rows_equal(got, want)
+            for entry, query in zip(query_entries, queries):
+                row, d = first_argmin(matcher, query, 0, n)
+                best = matcher.nearest(entry, tau)
+                if d > tau:
+                    assert best is None
+                else:
+                    assert best.distance == d and best.reference is stored[row]
+
+            # The vote's hits, one per query and one per (query, image).
+            hits = matcher.search_all_batch(queries, tau)
+            for key in (hits.query, hits.query * 2 + hits.image_id):
+                which = _closest_hits(hits, key)
+                got = matcher.hit_references(hits, which, queries)
+                for q, k, reference in zip(hits.query[which], hits.position[which], got):
+                    segment = ranges[2 + k]
+                    assert reference is stored[first_argmin(matcher, queries[q], *segment)[0]]
 
 
 def test_nearest_path_on_empty_indexes_and_no_queries():
     rng = np.random.default_rng(141)
     stored = make_entries(random_descriptors(30, 64, rng))
-    queries = stack_descriptors(make_entries(random_descriptors(4, 64, rng), image_id=1))
+    query_entries = make_entries(random_descriptors(4, 64, rng), image_id=1)
+    queries = stack_descriptors(query_entries)
     none = queries[:0]
-    for index in (HammingTree(64), BruteForceMatcher([])):
-        assert _nearest(index, queries, 64)[1] == []
-    for index in (HammingTree.build_balanced(stored, TreeConfig(n_max=4), 64),
-                  BruteForceMatcher(stored)):
-        assert _nearest(index, none, 64)[1] == []
-        assert [q for q, _, _ in _nearest(index, queries, 64)[1]] == [0, 1, 2, 3]
+    assert tree_nearest(HammingTree(64), queries, 64) == []
+    empty = BruteForceMatcher([])
+    assert empty.nearest(query_entries[0], 64) is None
+    hits = empty.search_all_batch(queries, 64)
+    assert empty.hit_references(hits, _closest_hits(hits, hits.query), queries) == []
+
+    tree = HammingTree.build_balanced(stored, TreeConfig(n_max=4), 64)
+    assert tree_nearest(tree, none, 64) == []
+    assert [q for q, _, _ in tree_nearest(tree, queries, 64)] == [0, 1, 2, 3]
+    matcher = BruteForceMatcher(stored)
+    for rows in matcher._nearest_rows(_to_words(none), 0, 30):
+        assert rows.shape == (0,)
+    rows, distance = matcher._nearest_rows(_to_words(queries), 0, 30)
+    assert rows.shape == distance.shape == (4,)
+    assert all(matcher.nearest(query, 64) is not None for query in query_entries)
