@@ -32,7 +32,15 @@ from typing import Sequence
 import numpy as np
 
 from .descriptor import DescriptorEntry, _stack_checked
-from .tree import HammingTree, InternalNode, LeafNode, TreeConfig, TreeNode, _check_node
+from .tree import (
+    HammingTree,
+    InternalNode,
+    LeafNode,
+    TreeConfig,
+    TreeNode,
+    _check_node,
+    _check_rows,
+)
 
 __all__ = [
     "FormatError",
@@ -259,17 +267,28 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
         raise FormatError(f"unsupported tree version {version}")
     if dim_bits < 8 or dim_bits % 8 != 0:
         raise FormatError(f"invalid dim_bits {dim_bits}")
-    width = _RECORD_HEAD.itemsize + dim_bits // 8
-    # Every empty leaf shares one pair of zero-row columns: an append grows
-    # a full column into a new array before it writes, so none is written.
-    no_rows = np.empty((0, dim_bits // 8), dtype=np.uint8)
-    no_ids = np.empty(0, dtype=np.int64)
-    no_rows.flags.writeable = no_ids.flags.writeable = False
+    head_size = _RECORD_HEAD.itemsize
+    width = head_size + dim_bits // 8
+    if config is None:
+        config = TreeConfig(tau=min(TreeConfig().tau, dim_bits))
+    # The tree's arena; each leaf takes the next slab of it, sized to its
+    # rows, and the record blocks read are split into its columns at the end.
+    tree = HammingTree(dim_bits, config)
+    arena = tree._arena
+    blocks = [np.empty((0, width), dtype=np.uint8)]
+    loaded: list[LeafNode] = []
     stored = 0
     # The (bit_index, side) splits on the path to the node being parsed, and
     # the routing check's map of where each bit was last split.
     path: list[tuple[int, int]] = []
     split_at: dict[int, int] = {}
+
+    def check(rule, *args) -> None:
+        """Run one of ``check_invariants``' rules; its ValueError is a FormatError."""
+        try:
+            rule(*args)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
 
     def parse_one() -> TreeNode:
         nonlocal stored
@@ -283,21 +302,17 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
         tag, field = header.unpack_from(data, take(header.size))
         if tag == 1:
             node: TreeNode = InternalNode(field, None, None)  # children attached below
-        elif field == 0:  # no row for the routing check to test
-            return LeafNode._from_columns(dim_bits, [], no_rows, no_ids)
-        else:
-            # Copies, so the leaf shares no memory with the caller's buffer.
-            rows = np.frombuffer(data, np.uint8, field * width, take(field * width))
-            head, packed = _split_records(rows.reshape(field, width))
-            node = LeafNode._from_columns(
-                dim_bits, [None] * field, packed, head["image_id"].astype(np.int64), head
-            )
+            check(_check_node, node, path, split_at, dim_bits)
+            return node
+        block = np.frombuffer(data, np.uint8, field * width, take(field * width))
+        block = block.reshape(field, width)
+        check(_check_rows, block[:, head_size:], path)
+        leaf = LeafNode._in_slab(dim_bits, (arena, stored, field), [None] * field)
+        if field:
+            blocks.append(block)
+            loaded.append(leaf)
             stored += field
-        try:
-            _check_node(node, path, split_at, dim_bits)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-        return node
+        return leaf
 
     # The stream is preorder, so each internal node is followed by its left
     # subtree, then its right; a stack of pending (parent, side, depth)
@@ -320,11 +335,15 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
             pending.append((node, 0, depth + 1))
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes after tree stream")
-    if config is None:
-        config = TreeConfig(tau=min(TreeConfig().tau, dim_bits))
+    # Copies, so the tree shares no memory with the caller's buffer.
+    head, arena.rows = _split_records(np.concatenate(blocks))
+    arena.ids = head["image_id"].astype(np.int64)
+    arena.used = stored
+    for leaf in loaded:
+        start = leaf._slab[1]
+        leaf._records = head[start : start + len(leaf)]
     # The leaf sizes were summed and the routing checked while parsing, so
     # the tree is given its root and count directly, with no second walk.
-    tree = HammingTree(dim_bits, config)
     tree.root, tree.count = root, stored
     return tree
 

@@ -8,16 +8,24 @@ incremental insertion with leaf splitting, and greedy nearest / range search.
 
 Trees are single-writer / multi-reader: any number of concurrent searches may
 run against an unchanging tree, while ``insert`` and ``search_and_insert``
-require exclusive access. A read writes two things. The first ``search_all``
+require exclusive access. A read writes three things. The first ``search_all``
 or batched descent (``search_all_batch``, or the completeness sweep's
 ``_leaf_ids``) builds the tree's routing arrays (``_Routes``) from the node
 graph and later ones reuse them; concurrent first reads build equal
 arrays, and whichever is stored last is kept. A split keeps the arrays up to
 date and assigning ``root`` drops them, so a caller that edits nodes in place
-after a range search must assign ``root`` again before the next one. And on a
-tree read from a stream, the first read of a stored row makes its entry and
-caches it on the leaf; that step holds a lock, so concurrent first reads of
-one row all return the one cached entry.
+after a range search must assign ``root`` again before the next one. A
+batched search copies any reached leaf whose rows are not in the tree's
+arena (a hand-built leaf, or one another tree took over) into it, under a
+lock. And on a tree read from a stream, the first read of a stored row makes
+its entry and caches it on the leaf; that step holds the same lock, so
+concurrent first reads of one row all return the one cached entry.
+
+A leaf's rows live in a slab of its arena, so ``packed()`` and
+``image_ids()`` are views of the arena's columns. Such a view is valid until
+the next insert or split: an insert can move a full leaf to a new slab, and a
+released slab is handed to another leaf, so an older view may then show
+another leaf's rows. Take a copy to keep rows across an insert.
 """
 
 from __future__ import annotations
@@ -58,9 +66,19 @@ __all__ = [
 # leaf reached by many queries cannot blow up memory.
 _SCAN_CHUNK_BYTES = 1 << 23
 
-# Held while a loaded leaf makes an entry, so that threads reading one row
-# for the first time at once all get the entry that is cached.
-_MAKE_LOCK = threading.Lock()
+# ``insert`` compacts the arena it wrote to once released slabs hold more
+# than a quarter of its used rows and more than this many rows. A leaf that
+# grows past every other leaf's capacity, as one of duplicates that no split
+# can separate does, leaves slabs behind that no other leaf asks for; a
+# compaction copies the stored rows once per such quarter. Below the floor,
+# a small tree's first splits would compact a few hundred rows, which saves
+# nothing worth the copy.
+_COMPACT_MIN_ROWS = 1 << 12
+
+# Held while a read writes: while a loaded leaf makes an entry, so that
+# threads reading one row for the first time at once all get the entry that
+# is cached, and while a tree's arena takes in leaves held elsewhere.
+_READ_LOCK = threading.Lock()
 
 
 @dataclass(slots=True)
@@ -95,45 +113,111 @@ class TreeConfig:
         return dim_bits if self.max_depth is None else self.max_depth
 
 
+class _Arena:
+    """Tree-wide descriptor-row and image-id columns; each leaf holds a slab.
+
+    A slab ``(arena, offset, capacity)`` is rows ``offset:offset + capacity``
+    of both columns, and its leaf fills them from the front. Rows from
+    ``used`` on are growth slack. ``free`` maps a capacity to the offsets of
+    the released slabs of that capacity, which ``alloc`` hands out before it
+    takes new rows, and ``spare`` counts their rows. The writer of the tree
+    allocates; a read allocates only in ``adopt``, under ``_READ_LOCK``.
+    """
+
+    __slots__ = ("rows", "ids", "used", "free", "spare")
+
+    def __init__(self, rows: np.ndarray, ids: np.ndarray):
+        self.rows = rows
+        self.ids = ids
+        self.used = len(ids)
+        self.free: dict[int, list[int]] = {}
+        self.spare = 0
+
+    @classmethod
+    def empty(cls, dim_bits: int) -> "_Arena":
+        nbytes = descriptor_nbytes(dim_bits)
+        return cls(np.empty((0, nbytes), dtype=np.uint8), np.empty(0, dtype=np.int64))
+
+    def alloc(self, capacity: int) -> int:
+        """Offset of a slab of ``capacity`` rows: a released one of that
+        capacity, else the rows at ``used``. Full columns grow by an eighth,
+        so the slack stays under an eighth of the rows in use."""
+        released = self.free.get(capacity)
+        if released:
+            self.spare -= capacity
+            return released.pop()
+        start = self.used
+        self.used = start + capacity
+        if self.used > len(self.ids):
+            size = max(self.used, len(self.ids) + len(self.ids) // 8)
+            self.rows = _grown(self.rows, size)
+            self.ids = _grown(self.ids, size)
+        return start
+
+    def release(self, offset: int, capacity: int) -> None:
+        if capacity:
+            self.free.setdefault(capacity, []).append(offset)
+            self.spare += capacity
+
+    def adopt(self, leaves: Sequence["LeafNode"]) -> None:
+        """Move every leaf of ``leaves`` that another arena holds into a slab
+        of this one of the same capacity, laid out in order in one block, and
+        release its old slab."""
+        with _READ_LOCK:
+            strays = [leaf for leaf in dict.fromkeys(leaves) if leaf._slab[0] is not self]
+            offset = self.alloc(sum(leaf._slab[2] for leaf in strays))
+            for leaf in strays:
+                arena, start, capacity = leaf._slab
+                n = len(leaf)
+                self.rows[offset : offset + n] = arena.rows[start : start + n]
+                self.ids[offset : offset + n] = arena.ids[start : start + n]
+                leaf._slab = (self, offset, capacity)
+                arena.release(start, capacity)
+                offset += capacity
+
+
 class LeafNode:
     """Leaf holding descriptor entries in insertion order.
 
-    Descriptors and image ids are mirrored into growing columns, so a leaf
-    scan is a single vectorized distance computation and a batched scan can
-    gather many leaves at once. Per-bit set counts are not kept; they are
-    computed from the rows when asked for, which happens only when a split is
+    The entries' descriptors and image ids are stored as rows of a slab of
+    an arena (``_Arena``): a tree's leaves share its arena, so a batched scan
+    gathers the rows of many leaves with one index. A leaf built by hand
+    starts with an arena of its own and is copied into a tree's arena by the
+    tree's first batched search that reaches it. The slab is released when
+    the leaf is dropped. Per-bit set counts are not kept; they are computed
+    from the rows when asked for, which happens only when a split is
     considered.
 
     A leaf read from a tree stream starts with no entry objects: it keeps
     the stream's record rows (image id, keypoint id, x, y) beside its
-    columns, and ``entry(i)`` makes row i's ``DescriptorEntry`` on first use
+    rows, and ``entry(i)`` makes row i's ``DescriptorEntry`` on first use
     and caches it, so one row always yields the same object. ``entries``
     makes every row's. A leaf filled by ``insert`` or ``build_balanced``
     holds the caller's entries as they are.
     """
 
     # ``_entries[i]`` is row i's entry, or None while it is unmade;
-    # ``_records`` holds the record rows until every entry is made.
-    __slots__ = ("_entries", "_records", "_packed", "_image_ids", "_dim_bits")
+    # ``_records`` holds the record rows until every entry is made;
+    # ``_slab`` is the (arena, offset, capacity) of the rows.
+    __slots__ = ("_entries", "_records", "_slab", "_dim_bits")
 
     def __init__(self, dim_bits: int, entries: Sequence[DescriptorEntry] = ()):
         self._entries: list[DescriptorEntry | None] = list(entries)
         self._records: np.ndarray | None = None
         self._dim_bits = dim_bits
-        self._packed = _stack_checked(self._entries, descriptor_nbytes(dim_bits))
-        self._image_ids = _image_id_column(self._entries)
+        rows = _stack_checked(self._entries, descriptor_nbytes(dim_bits))
+        self._slab = (_Arena(rows, _image_id_column(self._entries)), 0, len(rows))
 
     @classmethod
-    def _from_columns(
+    def _in_slab(
         cls,
         dim_bits: int,
-        entries: list[DescriptorEntry],
-        packed: np.ndarray,
-        image_ids: np.ndarray,
+        slab: tuple[_Arena, int, int],
+        entries: list[DescriptorEntry | None],
         records: np.ndarray | None = None,
     ) -> "LeafNode":
-        """A leaf over ready columns: ``packed`` (len, W) uint8 rows and
-        int64 ``image_ids`` mirroring ``entries``, all taken as they are.
+        """A leaf over the first ``len(entries)`` rows of ``slab``, taken as
+        they are.
 
         With ``records``, a record array with fields image_id, keypoint_id,
         x and y in that order, the rows' entries are made from the records
@@ -143,9 +227,14 @@ class LeafNode:
         leaf._dim_bits = dim_bits
         leaf._entries = entries
         leaf._records = records
-        leaf._packed = packed
-        leaf._image_ids = image_ids
+        leaf._slab = slab
         return leaf
+
+    def __del__(self) -> None:
+        # A leaf whose ``__init__`` raised holds no slab.
+        slab = getattr(self, "_slab", None)
+        if slab is not None:
+            slab[0].release(slab[1], slab[2])
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -154,7 +243,7 @@ class LeafNode:
     def entries(self) -> list[DescriptorEntry]:
         """Every row's entry, in insertion order; unmade ones are made."""
         if self._records is not None:
-            with _MAKE_LOCK:
+            with _READ_LOCK:
                 entries = self._entries
                 for i, e in enumerate(entries):
                     if e is None:
@@ -167,7 +256,7 @@ class LeafNode:
         entry = self._entries[i]
         if entry is None:
             # Only a miss locks, so concurrent first reads of a row agree.
-            with _MAKE_LOCK:
+            with _READ_LOCK:
                 entry = self._entries[i]
                 if entry is None:
                     entry = self._entries[i] = self._made(i)
@@ -179,7 +268,7 @@ class LeafNode:
         if i < 0:
             i += len(self._entries)
         image_id, keypoint_id, x, y = self._records.item(i)
-        return DescriptorEntry(self._packed[i].copy(), image_id, keypoint_id, (x, y))
+        return DescriptorEntry(self.packed()[i].copy(), image_id, keypoint_id, (x, y))
 
     def _record_rows(self) -> np.ndarray | None:
         """The record rows of a leaf read from a stream whose entries are all
@@ -210,38 +299,61 @@ class LeafNode:
         return keys, rows
 
     def append(self, entry: DescriptorEntry) -> None:
+        """Add ``entry`` as the last row; a full slab first moves to a new
+        one of twice its capacity (at least 8 rows)."""
+        arena, offset, capacity = self._slab
         n = len(self._entries)
-        if n == self._packed.shape[0]:
-            capacity = max(8, 2 * n)
-            self._packed = _grown(self._packed, capacity)
-            self._image_ids = _grown(self._image_ids, capacity)
+        if n == capacity:
+            arena, offset, capacity = self._move(max(8, 2 * capacity))
         # The id goes first: one outside int64 leaves the entries untouched.
         try:
-            self._image_ids[n] = entry.image_id
+            arena.ids[offset + n] = entry.image_id
         except OverflowError:
             raise _image_id_error(entry.image_id) from None
-        self._packed[n] = entry.descriptor
+        arena.rows[offset + n] = entry.descriptor
         self._entries.append(entry)
 
+    def _move(self, capacity: int) -> tuple[_Arena, int, int]:
+        """Move the rows to a new slab of ``capacity`` rows in the same
+        arena, release the old one and return the new."""
+        arena, offset, old = self._slab
+        n = len(self._entries)
+        start = arena.alloc(capacity)
+        arena.rows[start : start + n] = arena.rows[offset : offset + n]
+        arena.ids[start : start + n] = arena.ids[offset : offset + n]
+        self._slab = slab = (arena, start, capacity)
+        arena.release(offset, old)
+        return slab
+
     def packed(self) -> np.ndarray:
-        """View of the stored descriptors as a (len, W) matrix."""
-        return self._packed[: len(self._entries)]
+        """View of the stored descriptors as a (len, W) matrix, valid until
+        the next insert (see the module docstring)."""
+        arena, offset, _ = self._slab
+        return arena.rows[offset : offset + len(self._entries)]
 
     def image_ids(self) -> np.ndarray:
-        """View of the stored entries' image ids, in insertion order."""
-        return self._image_ids[: len(self._entries)]
+        """View of the stored entries' image ids, in insertion order, valid
+        until the next insert."""
+        arena, offset, _ = self._slab
+        return arena.ids[offset : offset + len(self._entries)]
 
     def statistics(self) -> BitStatistics:
         return BitStatistics(counts=_bit_counts(self.packed(), self._dim_bits), total=len(self))
 
-    def _subset(self, mask: np.ndarray) -> "LeafNode":
-        """A new leaf holding the rows where ``mask`` is True, in order."""
+    def _subset(self, mask: np.ndarray, capacity: int = 0) -> "LeafNode":
+        """A new leaf holding the rows where ``mask`` is True, in order, in a
+        new slab of this leaf's arena with room for at least ``capacity``."""
+        keep = np.flatnonzero(mask)
+        n = len(keep)
         entries = self.entries
-        return LeafNode._from_columns(
-            self._dim_bits,
-            [entries[i] for i in np.flatnonzero(mask).tolist()],
-            self.packed()[mask],
-            self.image_ids()[mask],
+        arena = self._slab[0]
+        capacity = max(capacity, n)
+        start = arena.alloc(capacity)
+        # The rows are read after ``alloc``, which may have grown the arena.
+        np.take(self.packed(), keep, axis=0, out=arena.rows[start : start + n])
+        np.take(self.image_ids(), keep, out=arena.ids[start : start + n])
+        return LeafNode._in_slab(
+            self._dim_bits, (arena, start, capacity), [entries[i] for i in keep.tolist()]
         )
 
 
@@ -281,35 +393,40 @@ def _grown(column: np.ndarray, capacity: int) -> np.ndarray:
 
 
 def _gather_scan(
-    queries: np.ndarray, leaves: list[LeafNode], sizes: np.ndarray, tau: int
+    queries: np.ndarray, arena: _Arena, offsets: np.ndarray, sizes: np.ndarray, tau: int
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Hits of query row q against ``leaves[q]`` (``sizes[q]`` rows), as
-    (query, position, image id, distance) column parts in query order.
+    """Hits of query row q against arena rows ``offsets[q]`` to
+    ``offsets[q] + sizes[q]`` (its leaf), as (query, position, image id,
+    distance) column parts in query order.
 
-    The reached rows of consecutive queries are gathered into one block,
-    XORed with the repeated queries and counted; a block stays under
-    ``_SCAN_CHUNK_BYTES`` unless one query's leaf alone is larger.
+    The reached rows of consecutive queries are gathered into one block by
+    one index array, XORed with the repeated queries and counted; a block
+    stays under ``_SCAN_CHUNK_BYTES`` unless one query's leaf alone is larger.
     """
-    # Query q's candidates are rows starts[q]:ends[q] of the whole gather.
+    # Query q's candidates are places starts[q]:ends[q] of the whole gather;
+    # place p of query q is arena row p + shift[q].
     ends = np.cumsum(sizes)
     starts = ends - sizes
+    shift = offsets - starts
     cap_rows = max(1, _SCAN_CHUNK_BYTES // queries.shape[1])
     empty = np.empty(0, dtype=np.int64)
     parts = [(empty, empty, empty, np.empty(0, dtype=np.int32))]
     lo = 0
-    while lo < len(leaves):
+    while lo < len(sizes):
         # The longest run of queries from ``lo`` whose rows fit the cap.
         hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + cap_rows, "right")))
-        chunk = leaves[lo:hi]
-        rows = np.concatenate([leaf.packed() for leaf in chunk])
+        index = np.arange(starts[lo], ends[hi - 1])
+        index += np.repeat(shift[lo:hi], sizes[lo:hi])
+        # ``take`` gathered 40k 32-byte rows in a quarter of the time that
+        # fancy indexing took.
+        rows = np.take(arena.rows, index, axis=0)
         np.bitwise_xor(rows, np.repeat(queries[lo:hi], sizes[lo:hi], axis=0), out=rows)
         dist = _row_popcount(rows)
         hit = np.flatnonzero(dist <= tau)
         if hit.size:
-            row = hit + starts[lo]
-            query = np.searchsorted(ends, row, "right")
-            image_ids = np.concatenate([leaf.image_ids() for leaf in chunk])
-            parts.append((query, row - starts[query], image_ids[hit], dist[hit]))
+            place = hit + starts[lo]
+            query = np.searchsorted(ends, place, "right")
+            parts.append((query, place - starts[query], arena.ids.take(index[hit]), dist[hit]))
         lo = hi
     return parts
 
@@ -348,9 +465,15 @@ def _check_node(
         if k is not None and k < len(path) and path[k][0] == bit:
             raise ValueError(f"bit index {bit} repeats on a root-to-leaf path")
         split_at[bit] = len(path)
-    elif len(node) and path:
+    else:
+        _check_rows(node.packed(), path)
+
+
+def _check_rows(rows: np.ndarray, path: list[tuple[int, int]]) -> None:
+    """``_check_node``'s rule for the (n, W) rows of a leaf at ``path``."""
+    if len(rows) and path:
         bits, sides = np.array(path).T
-        if not ((node.packed()[:, bits >> 3] >> (bits & 7)) & 1 == sides).all():
+        if not ((rows[:, bits >> 3] >> (bits & 7)) & 1 == sides).all():
             raise ValueError("a leaf holds a descriptor that does not route to it")
 
 
@@ -544,7 +667,12 @@ class HammingTree:
         self.dim_bits = dim_bits
         self.config = config if config is not None else TreeConfig()
         self.config.validate(dim_bits)
-        self.root = root if root is not None else LeafNode(dim_bits)
+        # The arena of the tree's leaves; one given with ``root`` is copied in
+        # by the first batched search that reaches it.
+        self._arena = _Arena.empty(dim_bits)
+        if root is None:
+            root = LeafNode._in_slab(dim_bits, (self._arena, 0, 0), [])
+        self.root = root
         self.count = sum(len(leaf) for leaf, _ in self._iter_leaves())
 
     @property
@@ -572,7 +700,8 @@ class HammingTree:
         At each node the bit with mean closest to 0.5 over the current subset
         (ancestor bits excluded) partitions the subset; recursion stops when
         the subset is at most n_max entries, the depth limit is reached, or no
-        bit is admissible under delta_max. Runs in O(n * depth).
+        bit is admissible under delta_max. Runs in O(n * depth). The leaves'
+        slabs fill the arena in leaf order with no slack.
         """
         entries = list(entries)
         if dim_bits is None:
@@ -583,31 +712,37 @@ class HammingTree:
         if not entries:
             return tree
         matrix = _stack_checked(entries, descriptor_nbytes(dim_bits))
+        image_ids = _image_id_column(entries)
         column = np.empty(len(entries), dtype=object)
         column[:] = entries
-        image_ids = _image_id_column(entries)
+        laid: list[np.ndarray] = []
         tree.root = tree._build_recursive(
-            (column, matrix, image_ids),
+            (column, matrix, laid),
             np.arange(len(entries)),
             _bit_counts(matrix, dim_bits),
             0,
             set(),
         )
+        order = np.concatenate(laid)
+        arena = tree._arena
+        arena.rows, arena.ids = matrix[order], image_ids[order]
         tree.count = len(entries)
         return tree
 
     def _build_recursive(
         self,
-        columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+        columns: tuple[np.ndarray, np.ndarray, list[np.ndarray]],
         subset: np.ndarray,
         counts: np.ndarray,
         depth: int,
         forbidden: set[int],
     ) -> TreeNode:
-        """Node over rows ``subset`` of the entry, descriptor and image-id
-        ``columns``; ``counts`` are the per-bit set counts of those rows."""
+        """Node over rows ``subset`` of the entry and descriptor ``columns``;
+        ``counts`` are the per-bit set counts of those rows. A leaf takes the
+        next ``len(subset)`` rows of the tree's arena and appends ``subset``
+        to the list in ``columns``, the order those rows are filled in."""
         cfg = self.config
-        column, matrix, image_ids = columns
+        column, matrix, laid = columns
         if len(subset) > cfg.n_max and depth < cfg.depth_limit(self.dim_bits):
             stats = BitStatistics(counts=counts, total=len(subset))
             bit = select_split_bit(stats, forbidden, cfg.delta_max)
@@ -630,9 +765,11 @@ class HammingTree:
                 )
                 forbidden.remove(bit)
                 return InternalNode(bit, left_node, right_node)
-        return LeafNode._from_columns(
-            self.dim_bits, column[subset].tolist(), matrix[subset], image_ids[subset]
-        )
+        arena = self._arena
+        slab = (arena, arena.used, len(subset))
+        arena.used += len(subset)
+        laid.append(subset)
+        return LeafNode._in_slab(self.dim_bits, slab, column[subset].tolist())
 
     # ------------------------------------------------------------------
     # Search
@@ -755,19 +892,26 @@ class HammingTree:
     def search_all_batch(self, queries: np.ndarray, tau: int | None = None) -> LeafHits:
         """``search_all`` for every row of an (n, W) packed query matrix.
 
-        The rows descend together (``_leaf_ids``). The reached leaves' rows
-        are then gathered into blocks and compared with one XOR and popcount
-        per block. A block takes a run of consecutive queries whose rows stay
-        under ``_SCAN_CHUNK_BYTES``; a query whose leaf alone is larger is
-        scanned on its own.
+        The rows descend together (``_leaf_ids``). A reached leaf whose rows
+        are not in the tree's arena is copied into it first, so every
+        reached row is an arena row. The rows are then gathered into blocks,
+        each by one index array built from the leaves' slab offsets, and
+        compared with one XOR and popcount per block. A block takes a run of
+        consecutive queries whose rows stay under ``_SCAN_CHUNK_BYTES``; a
+        query whose leaf alone is larger is scanned on its own.
         """
         queries = np.ascontiguousarray(queries, dtype=np.uint8)
         if tau is None:
             tau = self.config.tau
         leaf_ids, by_id = self._leaf_ids(queries)
         leaves = [by_id[k] for k in leaf_ids.tolist()]
-        sizes = np.array([len(leaf) for leaf in leaves], dtype=np.int64)
-        parts = _gather_scan(queries, leaves, sizes, tau)
+        arena = self._arena
+        if any(leaf._slab[0] is not arena for leaf in leaves):
+            arena.adopt(leaves)
+        n = len(leaves)
+        offsets = np.fromiter((leaf._slab[1] for leaf in leaves), np.int64, n)
+        sizes = np.fromiter((len(leaf._entries) for leaf in leaves), np.int64, n)
+        parts = _gather_scan(queries, arena, offsets, sizes, tau)
         return LeafHits(*(np.concatenate(cols) for cols in zip(*parts)), leaves=leaves)
 
     def hit_references(
@@ -794,6 +938,16 @@ class HammingTree:
         leaf.append(entry)
         self.count += 1
         self._maybe_split(leaf, path)
+        arena = leaf._slab[0]
+        if arena.spare > _COMPACT_MIN_ROWS and 4 * arena.spare > arena.used:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Move every leaf into a new arena, each in a slab of its capacity,
+        in leaf order, leaving the released slabs of the old one behind."""
+        arena = _Arena.empty(self.dim_bits)
+        arena.adopt([leaf for leaf, _ in self._iter_leaves()])
+        self._arena = arena
 
     def add(self, entries: Sequence[DescriptorEntry]) -> None:
         """Insert ``entries`` one by one, in order."""
@@ -809,7 +963,10 @@ class HammingTree:
         if bit is None:
             return
         right = (leaf.packed()[:, bit >> 3] >> (bit & 7)) & 1 == 1
-        node = InternalNode(bit, leaf._subset(~right), leaf._subset(right))
+        # Each child starts in a new slab with room for n_max + 1 rows.
+        node = InternalNode(
+            bit, leaf._subset(~right, cfg.n_max + 1), leaf._subset(right, cfg.n_max + 1)
+        )
         if self._routes is not None and not self._routes.split(path, leaf, node):
             self._routes = None
         if not path:
