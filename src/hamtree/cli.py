@@ -310,6 +310,12 @@ def _cmd_tree_info(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hamtree", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = TreeConfig()
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--nmax", type=int, default=defaults.n_max)
+    shape.add_argument("--delta-max", type=float, default=defaults.delta_max)
+    tau = argparse.ArgumentParser(add_help=False)
+    tau.add_argument("--tau", type=int, default=defaults.tau)
 
     gen = sub.add_parser("gen", help="generate a synthetic descriptor sequence")
     gen.add_argument("--images", type=int, required=True)
@@ -328,12 +334,11 @@ def _build_parser() -> _Parser:
     gen.add_argument("--truth", default=None, help="default: OUTPUT.truth.csv")
     gen.set_defaults(func=_cmd_gen)
 
-    match = sub.add_parser("match", help="match a query corpus against a database")
+    match = sub.add_parser(
+        "match", parents=[tau, shape], help="match a query corpus against a database"
+    )
     match.add_argument("--db", required=True)
     match.add_argument("--query", required=True)
-    match.add_argument("--tau", type=int, default=25)
-    match.add_argument("--nmax", type=int, default=10)
-    match.add_argument("--delta-max", type=float, default=0.1)
     match.add_argument("--output", required=True)
     match.add_argument(
         "--compare-bruteforce",
@@ -342,13 +347,12 @@ def _build_parser() -> _Parser:
     )
     match.set_defaults(func=_cmd_match)
 
-    protocol = sub.add_parser("protocol", help="sequential query-then-insert run")
+    protocol = sub.add_parser(
+        "protocol", parents=[shape, tau], help="sequential query-then-insert run"
+    )
     protocol.add_argument("--input", required=True)
     protocol.add_argument("--poses", default=None, help="optional poses file")
     protocol.add_argument("--engine", choices=("tree", "bruteforce"), default="tree")
-    protocol.add_argument("--nmax", type=int, default=10)
-    protocol.add_argument("--delta-max", type=float, default=0.1)
-    protocol.add_argument("--tau", type=int, default=25)
     protocol.add_argument("--timing-csv", required=True)
     protocol.add_argument("--scores-csv", default=None)
     protocol.add_argument("--eval", action="store_true", help="emit a PR curve")
@@ -378,11 +382,9 @@ def _build_parser() -> _Parser:
 
     tree = sub.add_parser("tree", help="tree file management")
     tree_sub = tree.add_subparsers(dest="tree_command", required=True)
-    build = tree_sub.add_parser("build", help="build a tree file from a corpus")
+    build = tree_sub.add_parser("build", parents=[shape], help="build a tree file from a corpus")
     build.add_argument("--input", required=True)
     build.add_argument("--output", required=True)
-    build.add_argument("--nmax", type=int, default=10)
-    build.add_argument("--delta-max", type=float, default=0.1)
     build.add_argument("--max-depth", type=int, default=None)
     build.add_argument(
         "--incremental",

@@ -8,9 +8,10 @@ are 128, 256 and 512 bits. Narrower toy widths (any ``dim_bits >= 1``) are
 accepted in memory for small worked examples, with unused high bits of the
 final byte kept at zero; the binary file formats require a multiple of 8.
 
-All distance kernels are numpy-vectorized. On numpy >= 2.0 the hardware
-popcount (``np.bitwise_count``) is used over a uint64 view; older numpy falls
-back to a per-byte lookup table.
+All distance kernels are numpy-vectorized and count bits with ``_popcount``:
+the hardware ``np.bitwise_count`` on numpy >= 2.0, else an exact SWAR count
+for uint64 words and a per-byte lookup table for bytes. Row distances go
+through ``_row_popcount``, which counts uint64 words wherever it can.
 
 Many-to-many distances (``pairwise_hamming``, the brute-force protocol and
 the completeness sweeps' feasible sets) use a word-major kernel. The byte
@@ -21,8 +22,7 @@ XORs a block of queries against that row into a preallocated ``(block, N)``
 buffer, popcounts that into a uint8 buffer, and adds it into the int32
 distance block. Blocks are sized
 to stay cache-resident and never exceed the caller's byte cap, so no
-temporary grows with the number of queries. Without ``np.bitwise_count``
-the word popcount is an exact SWAR bit count.
+temporary grows with the number of queries.
 """
 
 from __future__ import annotations
@@ -114,11 +114,42 @@ def _bit_counts(packed: np.ndarray, dim_bits: int) -> np.ndarray:
     return counts
 
 
-def popcount(arr: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint8 array."""
+def _popcount(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-element popcount of a uint8 or uint64 array, as uint8.
+
+    Without ``np.bitwise_count``, uint64 words take a SWAR count (5.5-11.5
+    ms for 256 x 2000 words on a 2-vCPU host, against 11-13 ms for the byte
+    table over their bytes, without the per-word sums the table would still
+    need) and anything else the byte table. Only ``out`` is written, never
+    ``arr``.
+    """
     if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(arr)
-    return _POPCOUNT8[arr]
+        return np.bitwise_count(arr, out=out)
+    if arr.dtype != np.uint64:
+        return np.take(_POPCOUNT8, arr, out=out)
+    words = np.empty(arr.shape, dtype=np.uint64)
+    tmp = np.empty_like(words)
+    np.right_shift(arr, np.uint64(1), out=tmp)
+    tmp &= _SWAR_M1
+    np.subtract(arr, tmp, out=words)
+    np.right_shift(words, np.uint64(2), out=tmp)
+    tmp &= _SWAR_M2
+    words &= _SWAR_M2
+    words += tmp
+    np.right_shift(words, np.uint64(4), out=tmp)
+    words += tmp
+    words &= _SWAR_M4
+    words *= _SWAR_H01
+    words >>= np.uint64(56)
+    if out is None:
+        return words.astype(np.uint8)
+    np.copyto(out, words, casting="unsafe")
+    return out
+
+
+def popcount(arr: np.ndarray) -> np.ndarray:
+    """Per-element popcount of a uint8 or uint64 array, as uint8."""
+    return _popcount(np.asarray(arr))
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,45 +160,26 @@ def _ones(n: int) -> np.ndarray:
     return ones
 
 
-def _row_popcount(xored: np.ndarray) -> np.ndarray:
-    """Sum of set bits along the last (byte) axis of a uint8 array, as int32.
+def _row_popcount(rows: np.ndarray, query=None) -> np.ndarray:
+    """Int32 set-bit count along the last (byte) axis of ``rows ^ query``.
 
-    The per-word (or per-byte) counts are reduced by one matmul against a
-    ones vector. On a 2-vCPU x86-64 host (numpy 2.4.6, four uint64 words per
-    row) that took 6.7 us, 145 us and 0.51 ms for 100, 1e4 and 5e4 rows,
-    against 7.8 us, 282 us and 1.25 ms for ``.sum(axis=-1)``. The result is
-    int32 like the ones vector, so a distance never wraps as a uint8 sum
-    would at 256.
+    ``query`` is optional: one row, or rows matching ``rows``. The XOR runs
+    on bytes: XORing uint64 views instead was 0.5-1 us slower per call on
+    1 to 100 rows, for the two views it takes. A contiguous uint8 result
+    whose width is a multiple of 8 bytes is counted as uint64 words, W / 8
+    counts per row instead of W; anything else by element. The counts are
+    summed by one matmul against a ones vector: on a
+    2-vCPU x86-64 host (numpy 2.4.6, four uint64 words per row) that took
+    6.7 us, 145 us and 0.51 ms for 100, 1e4 and 5e4 rows, against 7.8 us,
+    282 us and 1.25 ms for ``.sum(axis=-1)``. The result is int32 like the
+    ones vector, so a distance never wraps as a uint8 sum would at 256.
     """
-    w = xored.shape[-1]
-    if _HAS_BITWISE_COUNT and w % 8 == 0 and xored.flags.c_contiguous:
-        counts = np.bitwise_count(xored.view(np.uint64))
-    else:
-        counts = popcount(xored)
+    if query is not None:
+        rows = np.bitwise_xor(rows, query)
+    if rows.shape[-1] & 7 == 0 and rows.dtype is _UINT8 and rows.flags.c_contiguous:
+        rows = rows.view(np.uint64)
+    counts = _popcount(rows)
     return counts @ _ones(counts.shape[-1])
-
-
-def _scan_distances(rows: np.ndarray, query) -> np.ndarray:
-    """Int32 distances from one packed descriptor to every row of ``rows``.
-
-    ``rows`` is an (n, W) uint8 matrix. When W is a multiple of 8 and
-    ``query`` is a contiguous uint8 row of width W, both are XORed as uint64
-    words, so each row takes W / 8 counts instead of W. Any other query,
-    or numpy without ``np.bitwise_count``, takes the byte path of
-    ``hamming_distances``. Nothing is cached or shared between calls.
-    """
-    if (
-        _HAS_BITWISE_COUNT
-        and type(query) is np.ndarray
-        and query.dtype is _UINT8
-        and query.shape == rows.shape[1:]
-        and query.shape[0] & 7 == 0
-        and query.flags.c_contiguous
-        and rows.flags.c_contiguous
-    ):
-        xored = np.bitwise_xor(rows.view(np.uint64), query.view(np.uint64))
-        return np.bitwise_count(xored) @ _ones(xored.shape[1])
-    return _row_popcount(np.bitwise_xor(rows, query))
 
 
 def hamming(a: np.ndarray, b: np.ndarray) -> int:
@@ -180,7 +192,7 @@ def hamming(a: np.ndarray, b: np.ndarray) -> int:
     b = np.asarray(b, dtype=np.uint8)
     if a.shape != b.shape:
         raise ValueError(f"descriptor width mismatch: {a.shape} vs {b.shape}")
-    return int(_row_popcount(np.bitwise_xor(a, b)))
+    return int(_row_popcount(a, b))
 
 
 def hamming_distances(query: np.ndarray, refs: np.ndarray) -> np.ndarray:
@@ -191,7 +203,7 @@ def hamming_distances(query: np.ndarray, refs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"reference matrix shape {refs.shape} incompatible with query width {query.shape}"
         )
-    return _row_popcount(np.bitwise_xor(refs, query))
+    return _row_popcount(refs, query)
 
 
 def _to_words(matrix: np.ndarray) -> np.ndarray:
@@ -209,30 +221,6 @@ def _to_words(matrix: np.ndarray) -> np.ndarray:
 def _word_columns(matrix: np.ndarray) -> np.ndarray:
     """(N, W) packed bytes as the word-major (words, N) uint64 reference layout."""
     return np.ascontiguousarray(_to_words(matrix).T)
-
-
-def _popcount64(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint64 array into the uint8 ``out``.
-
-    The SWAR fallback overwrites ``words``, which the kernel only uses as
-    scratch, and allocates one temporary of the same size.
-    """
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words, out=out)
-    tmp = np.right_shift(words, np.uint64(1))
-    tmp &= _SWAR_M1
-    words -= tmp
-    np.right_shift(words, np.uint64(2), out=tmp)
-    tmp &= _SWAR_M2
-    words &= _SWAR_M2
-    words += tmp
-    np.right_shift(words, np.uint64(4), out=tmp)
-    words += tmp
-    words &= _SWAR_M4
-    words *= _SWAR_H01
-    words >>= np.uint64(56)
-    np.copyto(out, words, casting="unsafe")
-    return out
 
 
 def _distance_blocks(
@@ -263,7 +251,7 @@ def _distance_blocks(
         b = min(rows, n_q - start)
         for k in range(n_words):
             np.bitwise_xor(query_words[start : start + b, k, None], columns[k], out=xor[:b])
-            _popcount64(xor[:b], count[:b])
+            _popcount(xor[:b], out=count[:b])
             if k == 0:
                 np.copyto(block[:b], count[:b])
             else:

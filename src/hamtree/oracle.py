@@ -25,11 +25,11 @@ from .descriptor import (
     _to_words,
     _word_columns,
     descriptor_nbytes,
-    flip_bits,
     random_descriptors,
     stack_descriptors,
     unpack_bits,
 )
+from .synthetic import _noisy_copies
 from .tree import HammingTree, LeafHits, MatchRecord, TreeConfig, _image_id_column
 
 __all__ = [
@@ -389,16 +389,11 @@ def _noisy_queries(
     """One query per reference: a copy with f in [0, max_flips] distinct bits
     flipped and its image id shifted past the largest reference image id."""
     n_images = max((ref.image_id for ref in refs), default=-1) + 1
-    flip_counts = rng.integers(0, max_flips + 1, size=len(refs))
-    queries = []
-    for ref, f in zip(refs, flip_counts.tolist()):
-        positions = rng.choice(dim_bits, size=f, replace=False) if f else ()
-        queries.append(
-            DescriptorEntry(
-                flip_bits(ref.descriptor, positions), n_images + ref.image_id, ref.keypoint_id
-            )
-        )
-    return queries
+    copies = _noisy_copies([ref.descriptor for ref in refs], dim_bits, max_flips, rng)
+    return [
+        DescriptorEntry(copy, n_images + ref.image_id, ref.keypoint_id)
+        for ref, copy in zip(refs, copies)
+    ]
 
 
 def write_bitwise_csv(path, per_bit_by_tau: Mapping[int, np.ndarray]) -> None:

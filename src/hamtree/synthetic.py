@@ -12,6 +12,7 @@ uniform random. The same seed always produces byte-identical corpora.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -57,6 +58,21 @@ class SyntheticSpec:
             seen_queries.add(query)
 
 
+def _noisy_copies(
+    descriptors: Sequence[np.ndarray], dim_bits: int, max_flips: int, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """A copy of each descriptor with f in [0, max_flips] distinct bits flipped.
+
+    All flip counts are drawn first, then the positions of each non-zero
+    count in order, so one seed always gives the same copies.
+    """
+    flip_counts = rng.integers(0, max_flips + 1, size=len(descriptors))
+    return [
+        flip_bits(d, rng.choice(dim_bits, size=f, replace=False) if f else ())
+        for d, f in zip(descriptors, flip_counts.tolist())
+    ]
+
+
 def generate_sequence(
     spec: SyntheticSpec,
 ) -> tuple[list[list[DescriptorEntry]], set[tuple[int, int]]]:
@@ -80,12 +96,9 @@ def generate_sequence(
             if shared:
                 matrix[:shared] = matrices[ref][:shared]
                 if spec.noise_bits:
-                    flip_counts = rng.integers(0, spec.noise_bits + 1, size=shared)
-                    for row in range(shared):
-                        f = int(flip_counts[row])
-                        if f:
-                            positions = rng.choice(spec.dim_bits, size=f, replace=False)
-                            matrix[row] = flip_bits(matrix[row], positions)
+                    matrix[:shared] = _noisy_copies(
+                        matrix[:shared], spec.dim_bits, spec.noise_bits, rng
+                    )
         matrices.append(matrix)
 
     images = [

@@ -44,7 +44,6 @@ from .descriptor import (
     _UINT8,
     _bit_counts,
     _row_popcount,
-    _scan_distances,
     _stack_checked,
 )
 
@@ -837,7 +836,7 @@ class HammingTree:
         n = len(leaf)
         if n == 0:
             return SearchResult(best=None, leaf_scanned=0, depth_traversed=depth)
-        dists = _scan_distances(leaf.packed(), query.descriptor)
+        dists = _row_popcount(leaf.packed(), query.descriptor)
         best_idx = int(dists.argmin())
         best_dist = int(dists[best_idx])
         best = None
@@ -867,7 +866,7 @@ class HammingTree:
         leaf, _ = self._descend(key)
         if not len(leaf):
             return []
-        dists = _scan_distances(leaf.packed(), query.descriptor)
+        dists = _row_popcount(leaf.packed(), query.descriptor)
         hits = np.flatnonzero(dists <= tau)
         return [
             MatchRecord(query=query, reference=leaf.entry(i), distance=d)

@@ -428,6 +428,20 @@ def test_tree_build_takes_no_tau(tmp_path, capsys):
     assert not (tmp_path / "t.hbt").exists()
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["match", "--db", "d", "--query", "q", "--output", "o"], ("n_max", "delta_max", "tau")),
+    (["protocol", "--input", "i", "--timing-csv", "t"], ("n_max", "delta_max", "tau")),
+    (["tree", "build", "--input", "i", "--output", "o"], ("n_max", "delta_max")),
+])
+def test_tree_flags_default_to_tree_config(argv, flags):
+    args = vars(hamtree.cli._build_parser().parse_args(argv))
+    parsed = {"n_max": args.pop("nmax"), "delta_max": args.pop("delta_max")}
+    if "tau" in args:
+        parsed["tau"] = args.pop("tau")
+    defaults = TreeConfig()
+    assert parsed == {flag: getattr(defaults, flag) for flag in flags}
+
+
 def test_tree_build_incremental(tmp_path):
     corpus, _ = gen_corpus(tmp_path, images=2, per_image=40)
     tree_path = tmp_path / "tree.hbt"

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hamtree import SyntheticSpec, generate_sequence, hamming
+from hamtree import SyntheticSpec, generate_sequence, hamming, random_descriptors
+from hamtree.descriptor import flip_bits
 
 
 def test_full_overlap_no_noise_duplicates_the_reference_image():
@@ -73,3 +74,40 @@ def test_invalid_specs_are_rejected(kwargs):
     spec = SyntheticSpec(**{"descriptors_per_image": 5, "dim_bits": 128, **kwargs})
     with pytest.raises(ValueError):
         spec.validate()
+
+
+def reference_generate_sequence(spec):
+    """The descriptor matrices ``generate_sequence`` drew before its noise
+    loop was shared with the oracle's noisy queries, kept as the reference."""
+    rng = np.random.default_rng(spec.seed)
+    n_d = spec.descriptors_per_image
+    loops = {query: (ref, fraction) for query, ref, fraction in spec.loop_pairs}
+    matrices = []
+    for image in range(spec.num_images):
+        matrix = random_descriptors(n_d, spec.dim_bits, rng)
+        if image in loops:
+            ref, fraction = loops[image]
+            shared = int(round(fraction * n_d))
+            if shared:
+                matrix[:shared] = matrices[ref][:shared]
+                if spec.noise_bits:
+                    flip_counts = rng.integers(0, spec.noise_bits + 1, size=shared)
+                    for row in range(shared):
+                        f = int(flip_counts[row])
+                        if f:
+                            positions = rng.choice(spec.dim_bits, size=f, replace=False)
+                            matrix[row] = flip_bits(matrix[row], positions)
+        matrices.append(matrix)
+    return matrices
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("noise_bits", [0, 3, 12])
+def test_noisy_copies_equal_the_reference_loop(seed, noise_bits):
+    spec = SyntheticSpec(
+        num_images=6, descriptors_per_image=40, dim_bits=136,
+        loop_pairs=[(2, 0, 0.5), (4, 2, 1.0), (5, 1, 0.01)], noise_bits=noise_bits, seed=seed,
+    )
+    images, _ = generate_sequence(spec)
+    for entries, want in zip(images, reference_generate_sequence(spec), strict=True):
+        assert np.array([e.descriptor for e in entries]).tobytes() == want.tobytes()
