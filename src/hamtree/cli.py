@@ -203,6 +203,12 @@ def _cmd_protocol(args) -> int:
     images = _group_by_image(entries)
     if args.eval and args.truth is None and not args.compute_truth:
         raise UsageError("--eval requires --truth CSV or --compute-truth")
+    # The evaluation's files are read before the run, so a bad one costs no run.
+    truth = poses = None
+    if args.eval and args.truth is not None:
+        truth = read_ground_truth_csv(args.truth)
+    elif args.eval and args.poses:
+        poses = read_poses(args.poses)
     retrieval_config = RetrievalConfig(tau=args.tau)
     if args.engine == "bruteforce":
         result: ProtocolResult = run_protocol_brute_force(images, retrieval_config)
@@ -221,14 +227,9 @@ def _cmd_protocol(args) -> int:
                 for s in image_scores:
                     fh.write(f"{query_id},{s.image_id},{s.score:.6f}\n")
     if args.eval:
-        if args.truth is not None:
-            gt = read_ground_truth_csv(args.truth)
-        else:
-            poses = read_poses(args.poses) if args.poses else None
-            gt = build_ground_truth(
-                images, poses, GroundTruthParams(tau=args.tau)
-            )
-        curve = pr_curve(result.scores, gt)
+        if truth is None:
+            truth = build_ground_truth(images, poses, GroundTruthParams(tau=args.tau))
+        curve = pr_curve(result.scores, truth)
         write_pr_csv(args.pr_csv, curve)
         if curve.recall_defined and curve.points:
             best = max_f1(curve)
@@ -403,6 +404,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # numpy takes no negative seed
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

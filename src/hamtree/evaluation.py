@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .descriptor import DescriptorEntry
+from .io import FormatError
 from .oracle import BruteForceMatcher
 from .retrieval import ImageScore, RetrievalConfig, query_image
 from .tree import HammingTree, TreeConfig
@@ -80,7 +81,7 @@ def read_poses(path) -> list[PoseRecord]:
     """Parse a poses text file: ``image_id tx ty tz qx qy qz qw`` per line.
 
     The optical axis is the camera's +z direction under the quaternion
-    rotation. Blank lines and '#' comments are skipped.
+    rotation. Blank lines and '#' comments are skipped; FormatError names a bad line.
     """
     poses = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -89,12 +90,13 @@ def read_poses(path) -> list[PoseRecord]:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 8:
-                raise ValueError(
-                    f"{path}:{line_no}: expected 8 fields, got {len(parts)}"
-                )
-            image_id = int(parts[0])
-            tx, ty, tz, qx, qy, qz, qw = (float(p) for p in parts[1:])
+            try:
+                if len(parts) != 8:
+                    raise ValueError(f"expected 8 fields, got {len(parts)}")
+                image_id = int(parts[0])
+                tx, ty, tz, qx, qy, qz, qw = (float(p) for p in parts[1:])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{line_no}: {exc}") from None
             poses.append(
                 PoseRecord(
                     image_id=image_id,
@@ -339,17 +341,21 @@ def write_ground_truth_csv(path, pairs: Iterable[tuple[int, int]]) -> None:
 
 
 def read_ground_truth_csv(path, params: GroundTruthParams | None = None) -> GroundTruth:
+    """The pairs of a ``query_id,reference_id`` CSV; FormatError names a bad line."""
     pairs = set()
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "query_id,reference_id":
-            raise ValueError(f"unexpected ground-truth header: {header!r}")
-        for line in fh:
+            raise FormatError(f"{path}:1: unexpected ground-truth header: {header!r}")
+        for line_no, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
-            query_id, reference_id = line.split(",")
-            pairs.add((int(query_id), int(reference_id)))
+            try:
+                query_id, reference_id = (int(token) for token in line.split(","))
+            except ValueError:
+                raise FormatError(f"{path}:{line_no}: expected two ids, got {line!r}") from None
+            pairs.add((query_id, reference_id))
     return GroundTruth(
         pairs=pairs, params=params if params is not None else GroundTruthParams()
     )

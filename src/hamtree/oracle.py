@@ -372,8 +372,6 @@ def make_noisy_duplicate_corpus(
     positions flipped, f drawn uniformly from [0, max_flips]. Queries carry
     image ids above the reference range. Reproducible given the seed.
     """
-    if max_flips > dim_bits:
-        raise ValueError(f"max_flips {max_flips} exceeds dim_bits {dim_bits}")
     rng = np.random.default_rng(seed)
     refs: list[DescriptorEntry] = []
     for image in range(num_images):

@@ -64,8 +64,11 @@ def _noisy_copies(
     """A copy of each descriptor with f in [0, max_flips] distinct bits flipped.
 
     All flip counts are drawn first, then the positions of each non-zero
-    count in order, so one seed always gives the same copies.
+    count in order, so one seed always gives the same copies. ValueError
+    unless 0 <= max_flips <= dim_bits.
     """
+    if not 0 <= max_flips <= dim_bits:
+        raise ValueError(f"max_flips must be in [0, {dim_bits}], got {max_flips}")
     flip_counts = rng.integers(0, max_flips + 1, size=len(descriptors))
     return [
         flip_bits(d, rng.choice(dim_bits, size=f, replace=False) if f else ())

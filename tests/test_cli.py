@@ -310,6 +310,26 @@ def test_protocol_eval_without_truth_exits_one(tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize("bad", ["truth", "poses"])
+def test_protocol_eval_reads_its_files_before_the_run(tmp_path, capsys, bad):
+    # A bad row fails with its file and line, exit 2, before any image runs:
+    # no timing CSV is written.
+    corpus, _ = gen_corpus(tmp_path, images=3, per_image=10)
+    if bad == "truth":
+        path, line = tmp_path / "truth.csv", 3
+        path.write_text("query_id,reference_id\n2,0\n1,2,3\n")
+        flags = ("--truth", path)
+    else:
+        path, line = tmp_path / "poses.txt", 2
+        path.write_text("0 0 0 0 0 0 0 1\n1 0 0 x 0 0 0 1\n2 0 0 0 0 0 0 1\n")
+        flags = ("--compute-truth", "--poses", path)
+    timing = tmp_path / "timing.csv"
+    capsys.readouterr()
+    assert run("protocol", "--input", corpus, "--timing-csv", timing, "--eval", *flags) == 2
+    assert f"format error: {path}:{line}: " in capsys.readouterr().err
+    assert not timing.exists()
+
+
 def test_protocol_missing_input_exits_two(tmp_path):
     assert run(
         "protocol", "--input", tmp_path / "nope.hbd", "--timing-csv", tmp_path / "t.csv"
@@ -383,6 +403,28 @@ def test_completeness_default_queries_equal_the_reference_cli_loop(tmp_path):
                "--bits-csv", tmp_path / "b2.csv", "--depth-csv", tmp_path / "d2.csv") == 0
     assert (tmp_path / "b1.csv").read_bytes() == (tmp_path / "b2.csv").read_bytes()
     assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--max-flips", 300), "max_flips must be in [0, 256], got 300"),
+    (("--max-flips", -1), "max_flips must be in [0, 256], got -1"),
+    (("--seed", -1), "--seed must be >= 0, got -1"),
+], ids=["max-flips-over-width", "max-flips-negative", "seed-negative"])
+def test_completeness_noisy_copy_range_errors_exit_one(tmp_path, capsys, flags, message):
+    corpus, _ = gen_corpus(tmp_path, images=2, per_image=10)
+    capsys.readouterr()
+    assert run(
+        "completeness", "--input", corpus, "--taus", "10", "--depths", "0-1", *flags,
+        "--bits-csv", tmp_path / "b.csv", "--depth-csv", tmp_path / "d.csv",
+    ) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_gen_negative_seed_exits_one(tmp_path, capsys):
+    assert run("gen", "--images", 2, "--seed", -1, "--output", tmp_path / "x.hbd") == 1
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_completeness_tau_out_of_range_exits_one(tmp_path):

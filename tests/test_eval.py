@@ -364,6 +364,59 @@ def test_tree_and_brute_force_protocols_agree_on_single_leaf_config(
     assert len(tree_result.seconds) == len(bf_result.seconds) == len(images)
 
 
+@st.composite
+def vote_subset_cases(draw):
+    """A small ``generate_sequence`` corpus with a loop closure, a tau and a
+    tree config that splits it. A duplicate-heavy corpus overwrites most
+    descriptors with copies of three, which no split can separate."""
+    dim_bits = draw(st.sampled_from([8, 64, 256]))
+    num_images = draw(st.integers(2, 6))
+    query = draw(st.integers(1, num_images - 1))
+    images, _ = generate_sequence(SyntheticSpec(
+        num_images=num_images,
+        descriptors_per_image=draw(st.integers(1, 40)),
+        dim_bits=dim_bits,
+        loop_pairs=[(query, draw(st.integers(0, query - 1)), draw(st.sampled_from([0.3, 1.0])))],
+        noise_bits=draw(st.integers(0, min(dim_bits, 12))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    ))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pool = [e.descriptor.copy() for e in images[0][:3]]
+        for entry in (e for entries in images for e in entries):
+            if rng.random() < 0.7:
+                entry.descriptor[:] = pool[rng.integers(len(pool))]
+    tau = draw(st.integers(0, dim_bits))
+    config = TreeConfig(
+        tau=tau,
+        delta_max=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        n_max=draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 50])),
+        max_depth=draw(st.sampled_from([None, 1, 2, 5])),
+    )
+    return images, config
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=vote_subset_cases(), hardware_popcount=st.booleans())
+def test_tree_votes_are_a_subset_of_brute_force_votes(case, hardware_popcount):
+    # A reached leaf holds a subset of the stored rows, so each (query
+    # descriptor, stored image) vote the tree casts is one brute force casts:
+    # per (query image, stored image) the tree's count is at most brute
+    # force's, and the tree votes only for images brute force votes for.
+    images, config = case
+    with mock.patch.object(
+        hamtree.descriptor, "_HAS_BITWISE_COUNT",
+        hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
+    ):
+        tree_result = run_protocol(images, config, RetrievalConfig(tau=config.tau))
+        bf_result = run_protocol_brute_force(images, RetrievalConfig(tau=config.tau))
+    assert len(tree_result.scores) == len(bf_result.scores) == len(images)
+    for tree_scores, bf_scores in zip(tree_result.scores, bf_result.scores):
+        bf_votes = {s.image_id: s.votes for s in bf_scores}
+        for s in tree_scores:
+            assert 0 < s.votes <= bf_votes.get(s.image_id, 0)
+
+
 def reference_build_ground_truth(images, poses, params):
     """One ``pairwise_hamming`` matrix per image pair that passes the pose
     gate, as the ground truth was built before it took the brute-force

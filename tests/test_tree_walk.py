@@ -56,6 +56,11 @@ def reference_structurally_equal(a, b):
     return True
 
 
+def kept(leaf, mask, dim_bits):
+    """A new leaf of the entries of ``leaf`` where ``mask`` is True, in order."""
+    return LeafNode(dim_bits, [e for e, keep in zip(leaf.entries, mask.tolist()) if keep])
+
+
 class ReferenceSplitTree(HammingTree):
     """Splits as ``insert`` did before the bit counter was shared: it unpacks
     the whole leaf to int64 sums and takes the mask from the unpacked bits."""
@@ -70,7 +75,9 @@ class ReferenceSplitTree(HammingTree):
         if bit is None:
             return
         right = bits[:, bit] == 1
-        node = InternalNode(bit, leaf._subset(~right), leaf._subset(right))
+        node = InternalNode(
+            bit, kept(leaf, ~right, self.dim_bits), kept(leaf, right, self.dim_bits)
+        )
         if not path:
             self.root = node
         elif path[-1].right is leaf:
@@ -243,7 +250,7 @@ def mutated_trees(draw):
         target.append(source.entries[row])
         keep = np.ones(len(source), dtype=bool)
         keep[row] = False
-        replace(tree, parent, side, source._subset(keep))
+        replace(tree, parent, side, kept(source, keep, tree.dim_bits))
     else:
         deep = [n for n in listed if isinstance(n[0], InternalNode) and n[3]]
         assume(deep)
