@@ -245,6 +245,8 @@ def _cmd_protocol(args) -> int:
 
 def _cmd_completeness(args) -> int:
     refs, dim_bits = read_descriptor_file(args.input)
+    if not refs:
+        raise UsageError(f"input corpus {args.input} is empty")
     taus = _parse_int_list(args.taus)
     depths = _parse_int_list(args.depths)
     for tau in taus:
@@ -255,6 +257,8 @@ def _cmd_completeness(args) -> int:
             raise UsageError(f"depth {depth} out of range for {dim_bits}-bit trees")
     if args.query:
         queries, query_dim = read_descriptor_file(args.query)
+        if not queries:
+            raise UsageError(f"query corpus {args.query} is empty")
         if query_dim != dim_bits:
             raise FormatError(
                 f"width mismatch: input is {dim_bits}-bit, query is {query_dim}-bit"

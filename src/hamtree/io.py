@@ -15,7 +15,8 @@ node for node, including entry order within leaves. The parser hands each node,
 as it reads it, to the per-node routing check that
 ``HammingTree.check_invariants`` runs, so a stream whose tree that check
 rejects (a split bit outside the width or repeated on a path, or a leaf row
-that disagrees with its path) is rejected with no second walk.
+that disagrees with its path) is rejected with no second walk. The nodes are
+made by ``build_balanced``'s builder, ``tree._grow``, which does not recurse.
 
 Both formats split a block of records into its 16-byte heads and its payload
 rows, and join the two again, with one function each and no per-record
@@ -40,6 +41,7 @@ from .tree import (
     TreeNode,
     _check_node,
     _check_rows,
+    _grow,
 )
 
 __all__ = [
@@ -278,9 +280,7 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
     blocks = [np.empty((0, width), dtype=np.uint8)]
     loaded: list[LeafNode] = []
     stored = 0
-    # The (bit_index, side) splits on the path to the node being parsed, and
-    # the routing check's map of where each bit was last split.
-    path: list[tuple[int, int]] = []
+    # The routing check's map of where each bit was last split.
     split_at: dict[int, int] = {}
 
     def check(rule, *args) -> None:
@@ -290,7 +290,7 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
 
-    def parse_one() -> TreeNode:
+    def parse_one(path: list[tuple[int, int]]) -> TreeNode:
         nonlocal stored
         # The tag byte picks the struct that reads the tag and its field: an
         # internal node's bit index or a leaf's entry count.
@@ -301,7 +301,7 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
             raise FormatError(f"unknown node tag {data[offset]}")
         tag, field = header.unpack_from(data, take(header.size))
         if tag == 1:
-            node: TreeNode = InternalNode(field, None, None)  # children attached below
+            node: TreeNode = InternalNode(field, None, None)  # ``_grow`` attaches the children
             check(_check_node, node, path, split_at, dim_bits)
             return node
         block = np.frombuffer(data, np.uint8, field * width, take(field * width))
@@ -314,25 +314,9 @@ def deserialize_tree(data: bytes, config: TreeConfig | None = None) -> HammingTr
             stored += field
         return leaf
 
-    # The stream is preorder, so each internal node is followed by its left
-    # subtree, then its right; a stack of pending (parent, side, depth)
-    # slots reproduces that without recursing (a hostile stream can nest
-    # deeply).
-    root = parse_one()
-    pending: list[tuple[InternalNode, int, int]] = []
-    if isinstance(root, InternalNode):
-        pending = [(root, 1, 1), (root, 0, 1)]
-    while pending:
-        parent, side, depth = pending.pop()
-        path[depth - 1 :] = ((parent.bit_index, side),)
-        node = parse_one()
-        if side:
-            parent.right = node
-        else:
-            parent.left = node
-        if isinstance(node, InternalNode):
-            pending.append((node, 1, depth + 1))
-            pending.append((node, 0, depth + 1))
+    # ``_grow`` builds the preorder without recursing, since a hostile stream
+    # can nest deeply.
+    root = _grow(parse_one)
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes after tree stream")
     # Copies, so the tree shares no memory with the caller's buffer.

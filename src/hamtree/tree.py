@@ -5,7 +5,9 @@ leaves hold descriptor sets that are scanned exhaustively. Each bit index
 appears at most once on any root-to-leaf path, which bounds the tree depth by
 the descriptor width. The tree supports balanced offline construction,
 incremental insertion with leaf splitting, and greedy nearest / range search.
-Both constructions split through one routine, ``HammingTree._split``.
+Both constructions choose a split with one routine, ``HammingTree._split``,
+and ``build_balanced`` and the stream loader make nodes through one builder,
+``_grow``, which does not recurse.
 
 Trees are single-writer / multi-reader: any number of concurrent searches may
 run against an unchanging tree, while ``insert`` and ``search_and_insert``
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -428,8 +430,30 @@ class InternalNode:
 
 TreeNode = InternalNode | LeafNode
 
-# The (descriptor rows, image ids, entry objects) that ``_split`` partitions.
+# The (descriptor rows, image ids, entry objects) that ``_new_leaf`` takes rows of.
 _Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _grow(make: Callable[[list[tuple[int, int]]], TreeNode]) -> TreeNode:
+    """A tree made in ``HammingTree._walk``'s order, preorder and left
+    first: ``make`` gets each node's ``(bit_index, side)`` path, as the walk
+    yields it, and returns the node, an internal one without children. A
+    stack of pending (parent, side, depth) slots attaches them, so a chain as
+    deep as the width needs no recursion."""
+    path: list[tuple[int, int]] = []
+    root = make(path)
+    pending = [(root, 1, 1), (root, 0, 1)] if isinstance(root, InternalNode) else []
+    while pending:
+        parent, side, depth = pending.pop()
+        path[depth - 1 :] = ((parent.bit_index, side),)
+        node = make(path)
+        if side:
+            parent.right = node
+        else:
+            parent.left = node
+        if isinstance(node, InternalNode):
+            pending += ((node, 1, depth + 1), (node, 0, depth + 1))
+    return root
 
 
 def _check_bit(bit: int, dim_bits: int) -> None:
@@ -682,14 +706,14 @@ class HammingTree:
         config: TreeConfig | None = None,
         dim_bits: int | None = None,
     ) -> "HammingTree":
-        """Build a tree by recursively splitting the entry set evenly.
+        """Build a tree by splitting the entry set evenly, node by node.
 
         At each node the bit with mean closest to 0.5 over the current subset
-        (ancestor bits excluded) partitions the subset; recursion stops when
-        the subset is at most n_max entries, the depth limit is reached, or no
-        bit is admissible under delta_max: ``insert``'s split, ``_split``, run
-        to the depth limit. Runs in O(n * depth). Each leaf gets a slab of
-        its size, so the slabs fill the arena in leaf order with no slack.
+        (ancestor bits excluded) partitions the subset; a subset is a leaf
+        when it is at most n_max entries, at the depth limit, or when no bit
+        is admissible under delta_max: ``insert``'s choice, ``_split``, made
+        in preorder through ``_grow``. Runs in O(n * depth). Each leaf gets a
+        slab of its size; the slabs fill the arena in leaf order with no slack.
         """
         entries = list(entries)
         if dim_bits is None:
@@ -701,47 +725,46 @@ class HammingTree:
             return tree
         matrix = _stack_checked(entries, descriptor_nbytes(dim_bits))
         columns = (matrix, _image_id_column(entries), np.fromiter(entries, object, len(entries)))
-        everything = np.arange(len(entries))
         # Exact slabs fill columns of the corpus's size, so they never grow.
         arena = tree._arena
         arena.rows, arena.ids = _grown(arena.rows, len(entries)), _grown(arena.ids, len(entries))
-        counts, levels = _bit_counts(matrix, dim_bits), tree.config.depth_limit(dim_bits)
-        root = tree._split(columns, everything, counts, levels, set(), 0)
-        tree.root = root or tree._new_leaf(columns, everything, 0)
+        n_max, levels = tree.config.n_max, tree.config.depth_limit(dim_bits)
+        # The (rows, per-bit set counts) of the nodes still to make, the next
+        # on top: ``_grow`` asks for a node's left child before its right.
+        todo = [(np.arange(len(entries)), _bit_counts(matrix, dim_bits))]
+
+        def make(path: list[tuple[int, int]]) -> TreeNode:
+            subset, counts = todo.pop()
+            if len(subset) > n_max and len(path) < levels:
+                split = tree._split(matrix, subset, counts, {bit for bit, _ in path})
+                if split is not None:
+                    bit, (left, right) = split
+                    # Count the smaller half only; the other half holds the rest.
+                    # Halves at the depth limit are leaves, whose counts go unread.
+                    small = right if len(right) < len(left) else left
+                    c = _bit_counts(matrix[small], dim_bits) if len(path) + 1 < levels else 0
+                    todo.append((right, c if small is right else counts - c))
+                    todo.append((left, c if small is left else counts - c))
+                    return InternalNode(bit, None, None)
+            return tree._new_leaf(columns, subset, 0)
+
+        tree.root = _grow(make)
         tree.count = len(entries)
         return tree
 
     def _split(
-        self, columns: _Columns, subset: np.ndarray, counts: np.ndarray | None,
-        levels: int, forbidden: set[int], capacity: int,
-    ) -> InternalNode | None:
-        """Split rows ``subset`` of ``columns``, with per-bit set counts
-        ``counts`` (unread when ``levels`` is 0), at a path that holds the
-        bits of ``forbidden`` and may grow ``levels`` deeper. None, with
-        nothing made, when the rows are at most n_max, ``levels`` is 0 or
-        ``select_split_bit`` refuses. Otherwise each half of the chosen bit's
-        partition, rows in order, becomes ``_split``'s node of it one level
-        down or else a leaf in a new slab of at least ``capacity`` rows."""
-        cfg = self.config
-        if len(subset) <= cfg.n_max or levels < 1:
-            return None
-        bit = select_split_bit(BitStatistics(counts, len(subset)), forbidden, cfg.delta_max)
+        self, rows: np.ndarray, subset: np.ndarray, counts: np.ndarray, forbidden: set[int]
+    ) -> tuple[int, tuple[np.ndarray, np.ndarray]] | None:
+        """The split of rows ``subset`` of ``rows``, whose per-bit set counts
+        are ``counts``, at a path that holds the bits of ``forbidden``: the
+        bit ``select_split_bit`` picks, and the (left, right) parts of
+        ``subset``, rows in order. None, with nothing made, when it refuses."""
+        stats = BitStatistics(counts, len(subset))
+        bit = select_split_bit(stats, forbidden, self.config.delta_max)
         if bit is None:
             return None
-        rows = columns[0]
         right = (rows[subset, bit >> 3] >> (bit & 7)) & 1 == 1
-        halves = (subset[~right], subset[right])
-        half_counts = [None, None]
-        if levels > 1:
-            # Count the smaller half only; the other half holds the rest.
-            small = int(len(halves[1]) < len(halves[0]))
-            half_counts[small] = _bit_counts(rows[halves[small]], self.dim_bits)
-            half_counts[1 - small] = counts - half_counts[small]
-        children, below = [], forbidden | {bit}
-        for half, c in zip(halves, half_counts):
-            node = self._split(columns, half, c, levels - 1, below, capacity)
-            children.append(node or self._new_leaf(columns, half, capacity))
-        return InternalNode(bit, *children)
+        return bit, (subset[~right], subset[right])
 
     def _new_leaf(self, columns: _Columns, subset: np.ndarray, capacity: int) -> LeafNode:
         """A leaf of rows ``subset`` of ``columns``, in order, in a new slab
@@ -946,12 +969,14 @@ class HammingTree:
         if len(leaf) <= cfg.n_max or len(path) >= cfg.depth_limit(self.dim_bits):
             return
         rows = leaf.packed()
-        columns = (rows, leaf.image_ids(), np.fromiter(leaf.entries, object, len(rows)))
         counts, forbidden = _bit_counts(rows, self.dim_bits), {n.bit_index for n in path}
-        # One level: the children are leaves with room for n_max + 1 rows.
-        node = self._split(columns, np.arange(len(rows)), counts, 1, forbidden, cfg.n_max + 1)
-        if node is None:
+        split = self._split(rows, np.arange(len(rows)), counts, forbidden)
+        if split is None:
             return
+        # Only a split makes the entries; each child has room for n_max + 1 rows.
+        columns = (rows, leaf.image_ids(), np.fromiter(leaf.entries, object, len(rows)))
+        bit, halves = split
+        node = InternalNode(bit, *(self._new_leaf(columns, h, cfg.n_max + 1) for h in halves))
         if self._routes is not None and not self._routes.split(path, leaf, node):
             self._routes = None
         if not path:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,8 @@ from hamtree import (
 )
 from hamtree.descriptor import flip_bits
 from hamtree.cli import main
+
+from test_tree_build import chain_entries
 
 
 def run(*argv) -> int:
@@ -427,6 +430,24 @@ def test_gen_negative_seed_exits_one(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("empty_flag", ["--input", "--query"])
+def test_completeness_on_an_empty_corpus_names_the_file(tmp_path, capsys, empty_flag):
+    corpus, _ = gen_corpus(tmp_path, images=2, per_image=10)
+    empty = tmp_path / "empty.hbd"
+    write_descriptor_file(empty, [], 256)
+    files = ["--input", empty]
+    if empty_flag == "--query":
+        files = ["--input", corpus, "--query", empty]
+    capsys.readouterr()
+    assert run(
+        "completeness", *files, "--taus", "10", "--depths", "0-1",
+        "--bits-csv", tmp_path / "b.csv", "--depth-csv", tmp_path / "d.csv",
+    ) == 1
+    kind = empty_flag.lstrip("-")
+    assert capsys.readouterr().err == f"usage error: {kind} corpus {empty} is empty\n"
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_completeness_tau_out_of_range_exits_one(tmp_path):
     corpus, _ = gen_corpus(tmp_path, images=2, per_image=10)
     assert run(
@@ -493,6 +514,25 @@ def test_tree_build_incremental(tmp_path):
 
     tree = load_tree(tree_path)
     assert tree.count == 80
+
+
+def test_tree_build_and_match_on_a_chain_of_more_than_a_thousand_levels(tmp_path, capsys):
+    n = 1101
+    corpus, tree_path, out = tmp_path / "chain.hbd", tmp_path / "chain.hbt", tmp_path / "m.csv"
+    write_descriptor_file(corpus, chain_entries(n), 2048)
+    shape = ("--nmax", 1, "--delta-max", 0.5)
+    assert run("tree", "build", "--input", corpus, "--output", tree_path, *shape) == 0
+    assert run("tree", "info", "--tree", tree_path) == 0
+    assert run("match", "--db", corpus, "--query", corpus, "--output", out, *shape,
+               "--compare-bruteforce") == 0
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert f"max depth {n - 1} -> " in printed.out
+    assert re.search(rf"^depth mean/std/max: .*/{n - 1}$", printed.out, re.M)
+    assert "speedup: " in printed.out
+    # Every stored row finds itself.
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + n and all(line.endswith(",0") for line in lines[1:])
 
 
 def test_tree_info_on_garbage_exits_two(tmp_path):

@@ -158,6 +158,20 @@ def test_an_append_makes_no_entry_and_a_split_keeps_the_made_ones(made):
     loaded.check_invariants()
 
 
+def test_a_refused_split_of_a_loaded_leaf_makes_no_entry(made):
+    # 200 copies of one row: no bit's mean is near 0.5, so no split is admitted.
+    row = random_descriptors(1, 256, np.random.default_rng(162))[0]
+    config = TreeConfig(tau=0, n_max=20)
+    tree = HammingTree.build_balanced(make_entries(np.tile(row, (200, 1))), config, 256)
+    loaded = deserialize_tree(serialize_tree(tree), config)
+    extra = DescriptorEntry(row.copy(), 1, 200)
+    del made[:]
+    loaded.insert(extra)
+    (leaf,) = leaves_of(loaded)
+    assert len(leaf) == 201 and leaf.entry(200) is extra
+    assert len(made) == 0 and made_rows(loaded) == 1
+
+
 # ----------------------------------------------------------------------
 # Concurrent readers
 # ----------------------------------------------------------------------

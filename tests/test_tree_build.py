@@ -13,8 +13,10 @@ from hamtree import (
     InternalNode,
     LeafNode,
     TreeConfig,
+    deserialize_tree,
     random_descriptors,
     select_split_bit,
+    serialize_tree,
     unpack_bits,
 )
 
@@ -260,3 +262,36 @@ def test_build_balanced_matches_reference_build(
         assert np.array_equal(leaf.image_ids(), ref_leaf.image_ids())
         assert leaf.image_ids().dtype == np.int64
     assert_tree_invariants(tree)
+
+
+# ----------------------------------------------------------------------
+# A chain as deep as the corpus
+# ----------------------------------------------------------------------
+
+# Every bit is admissible at delta_max 0.5, and a leaf holds one row.
+CHAIN_CONFIG = TreeConfig(tau=0, n_max=1, delta_max=0.5)
+
+
+def chain_entries(n: int, dim_bits: int = 2048):
+    """The zero row, then one row per set bit 0 to n - 2. Under
+    ``CHAIN_CONFIG`` each node splits its lowest set bit off as a one-row
+    leaf, so the balanced build is a chain of depth n - 1."""
+    rows = np.zeros((n, dim_bits // 8), dtype=np.uint8)
+    bits = np.arange(n - 1)
+    rows[bits + 1, bits >> 3] = 1 << (bits & 7)
+    return make_entries(rows)
+
+
+def test_build_balanced_builds_a_chain_of_more_than_a_thousand_levels():
+    n = 1101
+    entries = chain_entries(n)
+    tree = HammingTree.build_balanced(entries, CHAIN_CONFIG, 2048)
+    assert tree.depth_stats().max_depth == n - 1
+    tree.check_invariants()
+    # Every row finds itself, and only itself, at distance 0.
+    rows = np.stack([e.descriptor for e in entries])
+    hits = tree.search_all_batch(rows, 0)
+    assert hits.query.tolist() == list(range(n))
+    found = tree.hit_references(hits, np.arange(n), rows)
+    assert all(ref is entry for ref, entry in zip(found, entries))
+    assert deserialize_tree(serialize_tree(tree)).structurally_equal(tree)
