@@ -85,6 +85,8 @@ def _parse_int_list(text: str) -> list[int]:
             continue
         if "-" in token[1:]:
             lo, hi = token.split("-", 1)
+            if int(hi) < int(lo):
+                raise UsageError(f"reversed range {token!r} in {text!r}")
             values.extend(range(int(lo), int(hi) + 1))
         else:
             values.append(int(token))
@@ -98,6 +100,12 @@ def _group_by_image(entries: Sequence[DescriptorEntry]) -> list[list[DescriptorE
     if not entries:
         raise UsageError("input corpus is empty")
     n_images = max(e.image_id for e in entries) + 1
+    if n_images > len(entries):
+        # Checked before the lists are made: one record may carry any id.
+        raise UsageError(
+            f"image ids are not contiguous; largest id {n_images - 1} "
+            f"for {len(entries)} records"
+        )
     images: list[list[DescriptorEntry]] = [[] for _ in range(n_images)]
     for entry in entries:
         images[entry.image_id].append(entry)

@@ -8,10 +8,9 @@ are 128, 256 and 512 bits. Narrower toy widths (any ``dim_bits >= 1``) are
 accepted in memory for small worked examples, with unused high bits of the
 final byte kept at zero; the binary file formats require a multiple of 8.
 
-All distance kernels are numpy-vectorized and count bits with ``_popcount``:
-the hardware ``np.bitwise_count`` on numpy >= 2.0, else an exact SWAR count
-for uint64 words and a per-byte lookup table for bytes. Row distances go
-through ``_row_popcount``, which counts uint64 words wherever it can.
+All distance kernels are numpy-vectorized and count bits with one count,
+``np.bitwise_count`` (numpy >= 2.0). Row distances go through
+``_row_popcount``, which counts uint64 words wherever it can.
 
 Many-to-many distances (``pairwise_hamming``, the brute-force protocol and
 the completeness sweeps' feasible sets) use a word-major kernel. The byte
@@ -51,8 +50,6 @@ __all__ = [
     "unpack_bits",
 ]
 
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 _UINT8 = np.dtype(np.uint8)
 
 # Upper bound on the word kernel's per-block buffers (XOR words, their
@@ -63,10 +60,6 @@ _UINT8 = np.dtype(np.uint8)
 _MAX_CHUNK_BYTES = 1 << 26
 _BLOCK_TARGET_BYTES = 1 << 20
 _BLOCK_BYTES_PER_PAIR = 8 + 1 + 4
-_SWAR_M1 = np.uint64(0x5555555555555555)
-_SWAR_M2 = np.uint64(0x3333333333333333)
-_SWAR_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_SWAR_H01 = np.uint64(0x0101010101010101)
 
 # Unpacked bytes per block when ``_bit_counts`` counts set bits. Unpacking a
 # whole 1e5 x 256-bit corpus at once makes a 25.6 MB temporary, and freed
@@ -114,42 +107,9 @@ def _bit_counts(packed: np.ndarray, dim_bits: int) -> np.ndarray:
     return counts
 
 
-def _popcount(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-element popcount of a uint8 or uint64 array, as uint8.
-
-    Without ``np.bitwise_count``, uint64 words take a SWAR count (5.5-11.5
-    ms for 256 x 2000 words on a 2-vCPU host, against 11-13 ms for the byte
-    table over their bytes, without the per-word sums the table would still
-    need) and anything else the byte table. Only ``out`` is written, never
-    ``arr``.
-    """
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(arr, out=out)
-    if arr.dtype != np.uint64:
-        return np.take(_POPCOUNT8, arr, out=out)
-    words = np.empty(arr.shape, dtype=np.uint64)
-    tmp = np.empty_like(words)
-    np.right_shift(arr, np.uint64(1), out=tmp)
-    tmp &= _SWAR_M1
-    np.subtract(arr, tmp, out=words)
-    np.right_shift(words, np.uint64(2), out=tmp)
-    tmp &= _SWAR_M2
-    words &= _SWAR_M2
-    words += tmp
-    np.right_shift(words, np.uint64(4), out=tmp)
-    words += tmp
-    words &= _SWAR_M4
-    words *= _SWAR_H01
-    words >>= np.uint64(56)
-    if out is None:
-        return words.astype(np.uint8)
-    np.copyto(out, words, casting="unsafe")
-    return out
-
-
 def popcount(arr: np.ndarray) -> np.ndarray:
     """Per-element popcount of a uint8 or uint64 array, as uint8."""
-    return _popcount(np.asarray(arr))
+    return np.bitwise_count(np.asarray(arr))
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,18 +127,18 @@ def _row_popcount(rows: np.ndarray, query=None) -> np.ndarray:
     on bytes: XORing uint64 views instead was 0.5-1 us slower per call on
     1 to 100 rows, for the two views it takes. A contiguous uint8 result
     whose width is a multiple of 8 bytes is counted as uint64 words, W / 8
-    counts per row instead of W; anything else by element. The counts are
-    summed by one matmul against a ones vector: on a
-    2-vCPU x86-64 host (numpy 2.4.6, four uint64 words per row) that took
-    6.7 us, 145 us and 0.51 ms for 100, 1e4 and 5e4 rows, against 7.8 us,
-    282 us and 1.25 ms for ``.sum(axis=-1)``. The result is int32 like the
+    counts per row instead of W; anything else by element, both with the
+    one count, ``np.bitwise_count``. The counts are summed by one matmul
+    against a ones vector: on a 2-vCPU x86-64 host (numpy 2.4.6, four uint64
+    words per row) that took 6.7 us, 145 us and 0.51 ms for 100, 1e4 and
+    5e4 rows, against 7.8 us, 282 us and 1.25 ms for ``.sum(axis=-1)``. The result is int32 like the
     ones vector, so a distance never wraps as a uint8 sum would at 256.
     """
     if query is not None:
         rows = np.bitwise_xor(rows, query)
     if rows.shape[-1] & 7 == 0 and rows.dtype is _UINT8 and rows.flags.c_contiguous:
         rows = rows.view(np.uint64)
-    counts = _popcount(rows)
+    counts = np.bitwise_count(rows)
     return counts @ _ones(counts.shape[-1])
 
 
@@ -251,7 +211,7 @@ def _distance_blocks(
         b = min(rows, n_q - start)
         for k in range(n_words):
             np.bitwise_xor(query_words[start : start + b, k, None], columns[k], out=xor[:b])
-            _popcount(xor[:b], out=count[:b])
+            np.bitwise_count(xor[:b], out=count[:b])
             if k == 0:
                 np.copyto(block[:b], count[:b])
             else:

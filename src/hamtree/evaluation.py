@@ -77,11 +77,16 @@ def _quaternion_rotate_z(qx: float, qy: float, qz: float, qw: float) -> np.ndarr
     return axis / np.linalg.norm(axis)
 
 
+_POSE_FIELDS = ("tx", "ty", "tz", "qx", "qy", "qz", "qw")
+
+
 def read_poses(path) -> list[PoseRecord]:
     """Parse a poses text file: ``image_id tx ty tz qx qy qz qw`` per line.
 
     The optical axis is the camera's +z direction under the quaternion
-    rotation. Blank lines and '#' comments are skipped; FormatError names a bad line.
+    rotation. Blank lines and '#' comments are skipped; FormatError names a
+    bad line, a non-finite field included, since NaN passes no comparison
+    and so would pass both pose gates of ``build_ground_truth``.
     """
     poses = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -94,7 +99,11 @@ def read_poses(path) -> list[PoseRecord]:
                 if len(parts) != 8:
                     raise ValueError(f"expected 8 fields, got {len(parts)}")
                 image_id = int(parts[0])
-                tx, ty, tz, qx, qy, qz, qw = (float(p) for p in parts[1:])
+                values = [float(p) for p in parts[1:]]
+                for name, value in zip(_POSE_FIELDS, values):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} is not finite: {value}")
+                tx, ty, tz, qx, qy, qz, qw = values
             except ValueError as exc:
                 raise FormatError(f"{path}:{line_no}: {exc}") from None
             poses.append(

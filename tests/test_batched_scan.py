@@ -17,7 +17,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import hamtree.descriptor
 import hamtree.tree
 from hamtree import (
     DescriptorEntry,
@@ -153,13 +152,6 @@ def check_query_image(case: Case, collect_matches: bool) -> None:
 @given(case=cases(), collect_matches=st.booleans())
 def test_query_image_equals_dict_vote(case, collect_matches):
     check_query_image(case, collect_matches)
-
-
-@PROPERTY
-@given(case=cases(), collect_matches=st.booleans())
-def test_query_image_equals_dict_vote_with_lookup_table_popcount(case, collect_matches):
-    with mock.patch.object(hamtree.descriptor, "_HAS_BITWISE_COUNT", False):
-        check_query_image(case, collect_matches)
 
 
 @PROPERTY

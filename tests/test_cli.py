@@ -313,7 +313,7 @@ def test_protocol_eval_without_truth_exits_one(tmp_path):
     ) == 1
 
 
-@pytest.mark.parametrize("bad", ["truth", "poses"])
+@pytest.mark.parametrize("bad", ["truth", "poses", "poses-nan"])
 def test_protocol_eval_reads_its_files_before_the_run(tmp_path, capsys, bad):
     # A bad row fails with its file and line, exit 2, before any image runs:
     # no timing CSV is written.
@@ -324,13 +324,34 @@ def test_protocol_eval_reads_its_files_before_the_run(tmp_path, capsys, bad):
         flags = ("--truth", path)
     else:
         path, line = tmp_path / "poses.txt", 2
-        path.write_text("0 0 0 0 0 0 0 1\n1 0 0 x 0 0 0 1\n2 0 0 0 0 0 0 1\n")
+        field = "x" if bad == "poses" else "nan"
+        path.write_text(f"0 0 0 0 0 0 0 1\n1 0 0 {field} 0 0 0 1\n2 0 0 0 0 0 0 1\n")
         flags = ("--compute-truth", "--poses", path)
     timing = tmp_path / "timing.csv"
     capsys.readouterr()
     assert run("protocol", "--input", corpus, "--timing-csv", timing, "--eval", *flags) == 2
     assert f"format error: {path}:{line}: " in capsys.readouterr().err
     assert not timing.exists()
+
+
+def test_protocol_checks_image_ids_before_it_allocates(tmp_path, capsys):
+    # Ids contiguous from 0 are all below the record count, so one record
+    # with image id 10^6 is refused before 10^6 per-image lists (a 96 MB
+    # tracemalloc peak) are made.
+    corpus = tmp_path / "far.hbd"
+    row = random_descriptors(1, 256, np.random.default_rng(34))[0]
+    write_descriptor_file(corpus, [DescriptorEntry(row, 10**6, 0)], 256)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run("protocol", "--input", corpus, "--timing-csv", tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "usage error: image ids are not contiguous" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_protocol_missing_input_exits_two(tmp_path):
@@ -445,6 +466,23 @@ def test_completeness_on_an_empty_corpus_names_the_file(tmp_path, capsys, empty_
     ) == 1
     kind = empty_flag.lstrip("-")
     assert capsys.readouterr().err == f"usage error: {kind} corpus {empty} is empty\n"
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("flag, text, token", [
+    ("--depths", "0,8-2", "8-2"),
+    ("--taus", "10,25-20,50", "25-20"),
+])
+def test_completeness_reversed_range_exits_one(tmp_path, capsys, flag, text, token):
+    # A reversed range is an empty range(): "0,8-2" would run depth 0 alone.
+    corpus, _ = gen_corpus(tmp_path, images=2, per_image=10)
+    lists = {"--taus": "10", "--depths": "0-1", flag: text}
+    capsys.readouterr()
+    assert run(
+        "completeness", "--input", corpus, *(x for item in lists.items() for x in item),
+        "--bits-csv", tmp_path / "b.csv", "--depth-csv", tmp_path / "d.csv",
+    ) == 1
+    assert f"usage error: reversed range {token!r}" in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
 
 

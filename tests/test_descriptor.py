@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import hamtree.descriptor
 from hamtree import (
     bit_statistics,
     hamming,
@@ -137,14 +134,10 @@ def pairwise_cases(draw):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=pairwise_cases(), hardware_popcount=st.booleans())
-def test_pairwise_hamming_equals_scalar_hamming(case, hardware_popcount):
+@given(case=pairwise_cases())
+def test_pairwise_hamming_equals_scalar_hamming(case):
     queries, refs, cap = case
-    with mock.patch.object(
-        hamtree.descriptor, "_HAS_BITWISE_COUNT",
-        hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
-    ):
-        matrix = pairwise_hamming(queries, refs, max_chunk_bytes=cap)
+    matrix = pairwise_hamming(queries, refs, max_chunk_bytes=cap)
     assert matrix.dtype == np.int32
     assert matrix.shape == (len(queries), len(refs))
     want = [[reference_hamming(q, r) for r in refs] for q in queries]

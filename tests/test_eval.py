@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import hamtree.descriptor
 import hamtree.oracle
 from hamtree import (
+    FormatError,
     GroundTruth,
     GroundTruthParams,
     ImageScore,
@@ -149,6 +151,20 @@ def test_poses_file_round_trip(tmp_path):
     # 90-degree yaw turns +z into +x
     assert np.allclose(poses[1].optical_axis, [1, 0, 0], atol=1e-9)
     assert abs(np.linalg.norm(poses[1].optical_axis) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", range(7))
+def test_poses_file_with_a_non_finite_field_names_its_line(tmp_path, field, value):
+    # NaN compares False with both gate limits, so a NaN pose would pass
+    # the pose gate of build_ground_truth for every pair it is in.
+    fields = ["0"] * 6 + ["1"]
+    fields[field] = value
+    path = tmp_path / "poses.txt"
+    path.write_text("0 0 0 0 0 0 0 1\n" f"1 {' '.join(fields)}\n")
+    name = ("tx", "ty", "tz", "qx", "qy", "qz", "qw")[field]
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: {name} is not finite"):
+        read_poses(path)
 
 
 # ----------------------------------------------------------------------
@@ -302,18 +318,12 @@ def brute_force_cases(draw):
     case=brute_force_cases(),
     collect_matches=st.booleans(),
     cap=st.sampled_from([1, 200, None]),
-    hardware_popcount=st.booleans(),
 )
-def test_brute_force_protocol_equals_encoded_reduceat_reference(
-    case, collect_matches, cap, hardware_popcount
-):
+def test_brute_force_protocol_equals_encoded_reduceat_reference(case, collect_matches, cap):
     images, tau = case
     with mock.patch.object(
         hamtree.descriptor, "_MAX_CHUNK_BYTES",
         hamtree.descriptor._MAX_CHUNK_BYTES if cap is None else cap,
-    ), mock.patch.object(
-        hamtree.descriptor, "_HAS_BITWISE_COUNT",
-        hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
     ):
         result = run_protocol_brute_force(
             images, RetrievalConfig(tau=tau), collect_matches=collect_matches
@@ -337,29 +347,23 @@ SINGLE_LEAF_FIXED_CASE = (
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=brute_force_cases(), collect_matches=st.booleans(), hardware_popcount=st.booleans())
-@example(case=SINGLE_LEAF_FIXED_CASE, collect_matches=False, hardware_popcount=True)
-@example(case=SINGLE_LEAF_FIXED_CASE, collect_matches=True, hardware_popcount=False)
-@example(case=([[], []], 0), collect_matches=True, hardware_popcount=True)
-def test_tree_and_brute_force_protocols_agree_on_single_leaf_config(
-    case, collect_matches, hardware_popcount
-):
+@given(case=brute_force_cases(), collect_matches=st.booleans())
+@example(case=SINGLE_LEAF_FIXED_CASE, collect_matches=False)
+@example(case=SINGLE_LEAF_FIXED_CASE, collect_matches=True)
+@example(case=([[], []], 0), collect_matches=True)
+def test_tree_and_brute_force_protocols_agree_on_single_leaf_config(case, collect_matches):
     # A tree whose n_max exceeds the corpus never splits, so its one leaf
     # is scanned in full, as the exhaustive index is: both protocols cast
     # the same votes, and collected matches are the same stored objects,
     # the earliest-inserted among equally close ones.
     images, tau = case
-    with mock.patch.object(
-        hamtree.descriptor, "_HAS_BITWISE_COUNT",
-        hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
-    ):
-        tree_result = run_protocol(
-            images, TreeConfig(tau=tau, n_max=10_000), RetrievalConfig(tau=tau),
-            collect_matches=collect_matches,
-        )
-        bf_result = run_protocol_brute_force(
-            images, RetrievalConfig(tau=tau), collect_matches=collect_matches
-        )
+    tree_result = run_protocol(
+        images, TreeConfig(tau=tau, n_max=10_000), RetrievalConfig(tau=tau),
+        collect_matches=collect_matches,
+    )
+    bf_result = run_protocol_brute_force(
+        images, RetrievalConfig(tau=tau), collect_matches=collect_matches
+    )
     assert score_records(tree_result.scores) == score_records(bf_result.scores)
     assert len(tree_result.seconds) == len(bf_result.seconds) == len(images)
 
@@ -397,19 +401,15 @@ def vote_subset_cases(draw):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=vote_subset_cases(), hardware_popcount=st.booleans())
-def test_tree_votes_are_a_subset_of_brute_force_votes(case, hardware_popcount):
+@given(case=vote_subset_cases())
+def test_tree_votes_are_a_subset_of_brute_force_votes(case):
     # A reached leaf holds a subset of the stored rows, so each (query
     # descriptor, stored image) vote the tree casts is one brute force casts:
     # per (query image, stored image) the tree's count is at most brute
     # force's, and the tree votes only for images brute force votes for.
     images, config = case
-    with mock.patch.object(
-        hamtree.descriptor, "_HAS_BITWISE_COUNT",
-        hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
-    ):
-        tree_result = run_protocol(images, config, RetrievalConfig(tau=config.tau))
-        bf_result = run_protocol_brute_force(images, RetrievalConfig(tau=config.tau))
+    tree_result = run_protocol(images, config, RetrievalConfig(tau=config.tau))
+    bf_result = run_protocol_brute_force(images, RetrievalConfig(tau=config.tau))
     assert len(tree_result.scores) == len(bf_result.scores) == len(images)
     for tree_scores, bf_scores in zip(tree_result.scores, bf_result.scores):
         bf_votes = {s.image_id: s.votes for s in bf_scores}

@@ -21,7 +21,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import hamtree.descriptor
 import hamtree.tree
 from hamtree import (
     DescriptorEntry,
@@ -225,22 +224,18 @@ def probe(entries, dim_bits, rng):
 
 @st.composite
 def settings_(draw):
-    """(config, tau, patches): splits refused by delta_max 0 or taken on
-    constant bits at 0.5, depth caps, either popcount, and compaction from
-    the first released slab or at its floor."""
+    """(config, tau, patch): splits refused by delta_max 0 or taken on
+    constant bits at 0.5, depth caps, and compaction from the first released
+    slab or at its floor."""
     config = TreeConfig(
         tau=0,
         delta_max=draw(st.sampled_from([0.0, 0.1, 0.5])),
         n_max=draw(st.integers(1, 8)),
         max_depth=draw(st.integers(0, 6)) or None,
     )
-    patches = [
-        mock.patch.object(hamtree.descriptor, "_HAS_BITWISE_COUNT",
-                          hamtree.descriptor._HAS_BITWISE_COUNT and draw(st.booleans())),
-        mock.patch.object(hamtree.tree, "_COMPACT_MIN_ROWS",
-                          draw(st.sampled_from([0, hamtree.tree._COMPACT_MIN_ROWS]))),
-    ]
-    return config, draw(st.sampled_from([0, 2, 40])), patches
+    patch = mock.patch.object(hamtree.tree, "_COMPACT_MIN_ROWS",
+                              draw(st.sampled_from([0, hamtree.tree._COMPACT_MIN_ROWS])))
+    return config, draw(st.sampled_from([0, 2, 40])), patch
 
 
 def applied(config, dim_bits):
@@ -256,12 +251,12 @@ def applied(config, dim_bits):
 @given(corpora(max_entries=150), settings_(), st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_inserts_match_the_per_leaf_columns(corpus, setup, batch, seed):
     entries, dim_bits = corpus
-    config, tau, patches = setup
+    config, tau, patch = setup
     config = applied(config, dim_bits)
     rng = np.random.default_rng(seed)
     tree = HammingTree(dim_bits, config)
     reference = ColumnTree(dim_bits, config)
-    with patches[0], patches[1]:
+    with patch:
         for start in range(0, len(entries), batch):
             chunk = entries[start : start + batch]
             # Searched before the inserts, so splits extend the routing arrays.
@@ -279,7 +274,7 @@ def test_inserts_match_the_per_leaf_columns(corpus, setup, batch, seed):
        st.booleans(), st.integers(0, 2**32 - 1))
 def test_built_and_loaded_trees_match_the_per_leaf_columns(corpus, setup, load, seed):
     entries, dim_bits = corpus
-    config, tau, patches = setup
+    config, tau, patch = setup
     config = applied(config, dim_bits)
     rng = np.random.default_rng(seed)
     split = int(rng.integers(1, len(entries) + 1))
@@ -291,7 +286,7 @@ def test_built_and_loaded_trees_match_the_per_leaf_columns(corpus, setup, load, 
     offsets = [leaf._slab[1] for leaf in leaves]
     assert offsets == np.cumsum([0] + [len(leaf) for leaf in leaves])[:-1].tolist()
     assert tree._arena.used == len(tree._arena.ids) == split
-    with patches[0], patches[1]:
+    with patch:
         assert_same_answers(tree, reference, probe(entries, dim_bits, rng), tau, not load)
         for entry in entries[split:]:
             tree.insert(entry)

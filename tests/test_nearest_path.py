@@ -73,14 +73,6 @@ def corpora(draw):
     return dim_bits, groups, queries, taus
 
 
-def popcount(enabled: bool):
-    """The word kernel with the hardware popcount, or with the SWAR fallback."""
-    return mock.patch.object(
-        hamtree.descriptor, "_HAS_BITWISE_COUNT",
-        hamtree.descriptor._HAS_BITWISE_COUNT and enabled,
-    )
-
-
 def tree_nearest(tree: HammingTree, queries: np.ndarray, tau: int):
     """``match``'s tree side: per query row with a match, (row, distance, entry)."""
     hits = tree.search_all_batch(queries, tau)
@@ -99,8 +91,8 @@ def first_argmin(matcher: BruteForceMatcher, query: np.ndarray, lo: int, hi: int
 
 @PROPERTY
 @given(corpus=corpora(), kind=st.sampled_from(["balanced", "inserted", "loaded"]),
-       n_max=st.integers(1, 6), hardware_popcount=st.booleans())
-def test_nearest_path_equals_search_nearest(corpus, kind, n_max, hardware_popcount):
+       n_max=st.integers(1, 6))
+def test_nearest_path_equals_search_nearest(corpus, kind, n_max):
     dim_bits, groups, queries, taus = corpus
     stored = [entry for group in groups for entry in group]
     config = TreeConfig(tau=0, delta_max=0.5, n_max=n_max)
@@ -114,23 +106,19 @@ def test_nearest_path_equals_search_nearest(corpus, kind, n_max, hardware_popcou
         tree.add(stored)
         if kind == "loaded":
             tree = deserialize_tree(serialize_tree(tree))
-    with popcount(hardware_popcount):
-        query_entries = make_entries(queries, image_id=9)
-        for tau in taus:
-            got = tree_nearest(tree, queries, tau)
-            want = [tree.search_nearest(query, tau).best for query in query_entries]
-            assert [q for q, _, _ in got] == [q for q, w in enumerate(want) if w is not None]
-            for q, distance, reference in got:
-                assert distance == want[q].distance
-                assert reference is want[q].reference
+    query_entries = make_entries(queries, image_id=9)
+    for tau in taus:
+        got = tree_nearest(tree, queries, tau)
+        want = [tree.search_nearest(query, tau).best for query in query_entries]
+        assert [q for q, _, _ in got] == [q for q, w in enumerate(want) if w is not None]
+        for q, distance, reference in got:
+            assert distance == want[q].distance
+            assert reference is want[q].reference
 
 
 @PROPERTY
-@given(corpus=corpora(), one_add=st.booleans(), hardware_popcount=st.booleans(),
-       one_row_blocks=st.booleans(), data=st.data())
-def test_nearest_path_equals_brute_force_nearest(
-    corpus, one_add, hardware_popcount, one_row_blocks, data
-):
+@given(corpus=corpora(), one_add=st.booleans(), one_row_blocks=st.booleans(), data=st.data())
+def test_nearest_path_equals_brute_force_nearest(corpus, one_add, one_row_blocks, data):
     dim_bits, groups, queries, taus = corpus
     stored = [entry for group in groups for entry in group]
     if one_add:
@@ -147,8 +135,7 @@ def test_nearest_path_equals_brute_force_nearest(
     words = _to_words(queries)
     # One query row per distance block exercises the block offsets.
     block_bytes = 1 if one_row_blocks else hamtree.descriptor._BLOCK_TARGET_BYTES
-    with popcount(hardware_popcount), \
-            mock.patch.object(hamtree.descriptor, "_BLOCK_TARGET_BYTES", block_bytes):
+    with mock.patch.object(hamtree.descriptor, "_BLOCK_TARGET_BYTES", block_bytes):
         for lo, hi in ranges:
             rows, distance = matcher._nearest_rows(words, lo, hi)
             want = [first_argmin(matcher, query, lo, hi) for query in queries]

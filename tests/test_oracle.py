@@ -94,9 +94,8 @@ def test_brute_force_nearest_matches_naive_double_loop():
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim_bits=st.sampled_from([5, 12, 64, 100, 256]),
-    hardware_popcount=st.booleans(),
 )
-def test_brute_force_matcher_equals_scalar_kernel_with_ties(seed, dim_bits, hardware_popcount):
+def test_brute_force_matcher_equals_scalar_kernel_with_ties(seed, dim_bits):
     # Few-bit variants of two centres: equal distances and duplicates are
     # common, and the first reference in order must win a tie.
     rng = np.random.default_rng(seed)
@@ -111,27 +110,23 @@ def test_brute_force_matcher_equals_scalar_kernel_with_ties(seed, dim_bits, hard
 
     refs = variants(int(rng.integers(1, 20)), 0)
     queries = variants(5, 1)
-    with mock.patch.object(
-        hamtree.descriptor, "_HAS_BITWISE_COUNT",
-        hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
-    ):
-        matcher = BruteForceMatcher(refs)
-        for query in queries:
-            want = [hamming(query.descriptor, r.descriptor) for r in refs]
-            dists = matcher.distances(query.descriptor)
-            assert dists.dtype == np.int32
-            assert dists.tolist() == want
-            for tau in (0, min(want), dim_bits):
-                got = matcher.nearest(query, tau)
-                expected = naive_nearest(query, refs, tau)
-                if expected is None:
-                    assert got is None
-                else:
-                    assert got.reference is refs[expected[0]]
-                    assert got.distance == expected[1]
-                assert [(id(m.reference), m.distance) for m in matcher.all_within(query, tau)] == [
-                    (id(r), d) for r, d in zip(refs, want) if d <= tau
-                ]
+    matcher = BruteForceMatcher(refs)
+    for query in queries:
+        want = [hamming(query.descriptor, r.descriptor) for r in refs]
+        dists = matcher.distances(query.descriptor)
+        assert dists.dtype == np.int32
+        assert dists.tolist() == want
+        for tau in (0, min(want), dim_bits):
+            got = matcher.nearest(query, tau)
+            expected = naive_nearest(query, refs, tau)
+            if expected is None:
+                assert got is None
+            else:
+                assert got.reference is refs[expected[0]]
+                assert got.distance == expected[1]
+            assert [(id(m.reference), m.distance) for m in matcher.all_within(query, tau)] == [
+                (id(r), d) for r, d in zip(refs, want) if d <= tau
+            ]
 
 
 def test_brute_force_all_saturation_and_zero():
@@ -445,16 +440,13 @@ def completeness_cases(draw):
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=completeness_cases(), hardware_popcount=st.booleans(), tiny_blocks=st.booleans())
-def test_completeness_equals_the_per_query_feasible_sets(case, hardware_popcount, tiny_blocks):
+@given(case=completeness_cases(), tiny_blocks=st.booleans())
+def test_completeness_equals_the_per_query_feasible_sets(case, tiny_blocks):
     # Tiny blocks put one query in each distance block and one pair in each
     # unpacked chunk, so block and chunk offsets are exercised.
     queries, refs, taus, dim_bits = case
     depths = [0, 1, 3]
     with mock.patch.object(
-        hamtree.descriptor, "_HAS_BITWISE_COUNT",
-        hamtree.descriptor._HAS_BITWISE_COUNT and hardware_popcount,
-    ), mock.patch.object(
         hamtree.descriptor, "_BLOCK_TARGET_BYTES",
         1 if tiny_blocks else hamtree.descriptor._BLOCK_TARGET_BYTES,
     ), mock.patch.object(

@@ -1,34 +1,22 @@
 """The popcount kernels against Python-int bit counts.
 
-``_row_popcount`` (every row distance in the library) and ``popcount`` /
-``_popcount`` (every per-element count) are checked with the hardware
-popcount and with the numpy < 2 fallback, whose SWAR word count and byte
-table are otherwise only reached on old numpy. The reference counts bits with
-``bin(x).count("1")`` and shares no code with either.
+``_row_popcount`` (every row distance in the library) and ``popcount``
+(every per-element count) both count with ``np.bitwise_count``. The
+reference counts bits with ``bin(x).count("1")`` and shares no code with
+either.
 """
 
 from __future__ import annotations
-
-from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import hamtree.descriptor
-from hamtree.descriptor import _popcount, _row_popcount, popcount
+from hamtree.descriptor import _row_popcount, popcount
 
 PROPERTY = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-
-
-def bitwise(enabled: bool):
-    """The hardware popcount where numpy has it and ``enabled``, else the fallback."""
-    return mock.patch.object(
-        hamtree.descriptor, "_HAS_BITWISE_COUNT",
-        hamtree.descriptor._HAS_BITWISE_COUNT and enabled,
-    )
 
 
 def python_row_counts(rows, query) -> list:
@@ -87,13 +75,12 @@ def row_cases(draw):
 
 
 @PROPERTY
-@given(case=row_cases(), hardware=st.booleans())
-def test_row_popcount_equals_python_bit_counts(case, hardware):
+@given(case=row_cases())
+def test_row_popcount_equals_python_bit_counts(case):
     rows, query = case
     rows_before = np.array(rows, copy=True)
     query_before = None if query is None else np.array(query, copy=True)
-    with bitwise(hardware):
-        got = _row_popcount(rows, query)
+    got = _row_popcount(rows, query)
     assert got.dtype == np.int32
     assert np.shape(got) == rows.shape[:-1]
     assert np.ravel(got).tolist() == python_row_counts(rows, query)
@@ -118,18 +105,11 @@ def popcount_cases(draw):
 
 
 @PROPERTY
-@given(arr=popcount_cases(), hardware=st.booleans(), with_out=st.booleans())
-def test_popcount_equals_python_bit_counts(arr, hardware, with_out):
+@given(arr=popcount_cases())
+def test_popcount_equals_python_bit_counts(arr):
     before = arr.copy()
     want = [bin(int(x)).count("1") for x in arr.ravel().tolist()]
-    with bitwise(hardware):
-        got = popcount(arr)
-        if with_out:
-            out = np.full(arr.shape, 0xEE, dtype=np.uint8)
-            assert _popcount(arr, out=out) is out
-            assert out.ravel().tolist() == want
-        else:
-            assert _popcount(arr).ravel().tolist() == want
+    got = popcount(arr)
     assert got.dtype == np.uint8 and got.shape == arr.shape
     assert got.ravel().tolist() == want
     assert np.array_equal(arr, before)
