@@ -77,19 +77,24 @@ def _parse_loop(text: str) -> tuple[int, int, float]:
         raise UsageError(f"bad --loop value {text!r}: {exc}") from exc
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(text: str, dim_bits: int, name: str, unit: str) -> list[int]:
+    """The integers of a list like ``0,4-8``, each checked to lie in
+    ``[0, dim_bits]`` before any range is expanded."""
     values: list[int] = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
         if "-" in token[1:]:
-            lo, hi = token.split("-", 1)
-            if int(hi) < int(lo):
+            lo, hi = map(int, token.split("-", 1))
+            if hi < lo:
                 raise UsageError(f"reversed range {token!r} in {text!r}")
-            values.extend(range(int(lo), int(hi) + 1))
         else:
-            values.append(int(token))
+            lo = hi = int(token)
+        for end in (lo, hi):
+            if not 0 <= end <= dim_bits:
+                raise UsageError(f"{name} {end} out of range for {dim_bits}-bit {unit}")
+        values.extend(range(lo, hi + 1))
     if not values:
         raise UsageError(f"empty integer list: {text!r}")
     return values
@@ -255,14 +260,8 @@ def _cmd_completeness(args) -> int:
     refs, dim_bits = read_descriptor_file(args.input)
     if not refs:
         raise UsageError(f"input corpus {args.input} is empty")
-    taus = _parse_int_list(args.taus)
-    depths = _parse_int_list(args.depths)
-    for tau in taus:
-        if not 0 <= tau <= dim_bits:
-            raise UsageError(f"tau {tau} out of range for {dim_bits}-bit descriptors")
-    for depth in depths:
-        if not 0 <= depth <= dim_bits:
-            raise UsageError(f"depth {depth} out of range for {dim_bits}-bit trees")
+    taus = _parse_int_list(args.taus, dim_bits, "tau", "descriptors")
+    depths = _parse_int_list(args.depths, dim_bits, "depth", "trees")
     if args.query:
         queries, query_dim = read_descriptor_file(args.query)
         if not queries:

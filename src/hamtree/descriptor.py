@@ -19,14 +19,16 @@ sides, so they never count) and the references are laid out as a
 ``(words, N)`` matrix, one contiguous row per word. For each word the kernel
 XORs a block of queries against that row into a preallocated ``(block, N)``
 buffer, popcounts that into a uint8 buffer, and adds it into the int32
-distance block. Blocks are sized
-to stay cache-resident and never exceed the caller's byte cap, so no
-temporary grows with the number of queries.
+distance block. Every blocked loop (this kernel, the per-bit counts, the
+completeness sweep, the batched leaf gather) sizes its blocks by one budget,
+``_BLOCK_BYTES``, through ``_block_rows``, and the kernel also by a smaller
+caller cap, so no temporary grows with the number of rows or queries.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,20 +54,18 @@ __all__ = [
 
 _UINT8 = np.dtype(np.uint8)
 
-# Upper bound on the word kernel's per-block buffers (XOR words, their
-# counts, the int32 distances), and the smaller working set it aims for so
-# each block's passes run from cache: on a 2-vCPU x86-64 host, 256-bit
-# descriptors against 2e3 to 1e5 references ran at 5-7 ns per pair with
-# 0.5-1 MiB blocks and 11-14 ns with 64 MiB blocks.
-_MAX_CHUNK_BYTES = 1 << 26
-_BLOCK_TARGET_BYTES = 1 << 20
-_BLOCK_BYTES_PER_PAIR = 8 + 1 + 4
+# The one block budget (see the module docstring). On a 2-vCPU x86-64
+# host, 256-bit descriptors against 2e3 to 1e5 references ran at 5-7 ns per
+# pair with 0.5-1 MiB kernel blocks and 11-14 ns with 64 MiB ones, and 1000
+# queries gathered one 1000-row leaf in 14 ms at 1 MiB against 21 ms at
+# 8 MiB. Freed blocks far larger also raise glibc's mmap threshold, so later
+# ones stay in the heap as resident memory.
+_BLOCK_BYTES = 1 << 20
 
-# Unpacked bytes per block when ``_bit_counts`` counts set bits. Unpacking a
-# whole 1e5 x 256-bit corpus at once makes a 25.6 MB temporary, and freed
-# blocks that large raise glibc's mmap threshold, so later ones stay in the
-# heap and the process keeps them as resident memory.
-_COUNT_BLOCK_BYTES = 1 << 20
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes each that fit one block, at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def descriptor_nbytes(dim_bits: int) -> int:
@@ -95,12 +95,12 @@ def unpack_bits(descriptor: np.ndarray, dim_bits: int | None = None) -> np.ndarr
 def _bit_counts(packed: np.ndarray, dim_bits: int) -> np.ndarray:
     """Per-bit set counts over the rows of a packed (n, W) matrix.
 
-    Rows are unpacked in blocks of about ``_COUNT_BLOCK_BYTES``, so no
+    Rows are unpacked in blocks of ``_block_rows`` rows, so no
     (n, dim_bits) temporary is made. The int32 sums run about twice as fast
     as int64 ones, and a count never exceeds the number of rows.
     """
     counts = np.zeros(dim_bits, dtype=np.int32)
-    rows = max(1, _COUNT_BLOCK_BYTES // dim_bits)
+    rows = _block_rows(dim_bits)
     for lo in range(0, packed.shape[0], rows):
         block = unpack_bits(packed[lo : lo + rows], dim_bits)
         counts += block.sum(axis=0, dtype=np.int32)
@@ -184,7 +184,7 @@ def _word_columns(matrix: np.ndarray) -> np.ndarray:
 
 
 def _distance_blocks(
-    query_words: np.ndarray, columns: np.ndarray, max_chunk_bytes: int | None = None
+    query_words: np.ndarray, columns: np.ndarray, max_chunk_bytes: int = sys.maxsize
 ):
     """Yield ``(start, dist)`` over consecutive blocks of queries.
 
@@ -192,18 +192,17 @@ def _distance_blocks(
     ``(words, N)`` references from ``_word_columns`` (any view whose rows are
     contiguous). ``dist[i, j]`` is the int32 distance from query
     ``start + i`` to reference ``j``; one buffer is reused, so a block is
-    valid only until the next is produced. The buffers stay under
-    ``max_chunk_bytes`` (by default ``_MAX_CHUNK_BYTES``), or hold one query
-    row where a row alone is larger.
+    valid only until the next is produced. The buffers stay under the block
+    budget and under ``max_chunk_bytes``, or hold one query row where a row
+    alone is larger.
     """
-    if max_chunk_bytes is None:
-        max_chunk_bytes = _MAX_CHUNK_BYTES
     n_q, n_words = query_words.shape
     if columns.shape[0] != n_words:
         raise ValueError(f"width mismatch: {n_words} vs {columns.shape[0]} words")
     n_r = columns.shape[1]
-    per_row = max(1, n_r * _BLOCK_BYTES_PER_PAIR)
-    rows = max(1, min(n_q, min(max_chunk_bytes, _BLOCK_TARGET_BYTES) // per_row))
+    # Per pair, a block holds one XOR word, its count and an int32 distance.
+    per_row = max(1, n_r * (8 + 1 + 4))
+    rows = max(1, min(n_q, _block_rows(per_row), max_chunk_bytes // per_row))
     xor = np.empty((rows, n_r), dtype=np.uint64)
     count = np.empty((rows, n_r), dtype=np.uint8)
     block = np.zeros((rows, n_r), dtype=np.int32)

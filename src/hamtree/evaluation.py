@@ -62,8 +62,12 @@ class PoseRecord:
 
 
 def _quaternion_rotate_z(qx: float, qy: float, qz: float, qw: float) -> np.ndarray:
-    """Unit +z axis rotated by the (normalized) quaternion."""
-    norm = math.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
+    """Unit +z axis rotated by the (normalized) quaternion.
+
+    ``math.hypot`` scales as it sums, so no square of a huge or tiny
+    component overflows or underflows the norm.
+    """
+    norm = math.hypot(qx, qy, qz, qw)
     if norm == 0.0:
         raise ValueError("zero quaternion")
     qx, qy, qz, qw = qx / norm, qy / norm, qz / norm, qw / norm
@@ -85,8 +89,9 @@ def read_poses(path) -> list[PoseRecord]:
 
     The optical axis is the camera's +z direction under the quaternion
     rotation. Blank lines and '#' comments are skipped; FormatError names a
-    bad line, a non-finite field included, since NaN passes no comparison
-    and so would pass both pose gates of ``build_ground_truth``.
+    bad line, a zero quaternion or a non-finite field included, since NaN
+    passes no comparison and so would pass both pose gates of
+    ``build_ground_truth``.
     """
     poses = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -104,15 +109,10 @@ def read_poses(path) -> list[PoseRecord]:
                     if not math.isfinite(value):
                         raise ValueError(f"{name} is not finite: {value}")
                 tx, ty, tz, qx, qy, qz, qw = values
+                axis = _quaternion_rotate_z(qx, qy, qz, qw)
             except ValueError as exc:
                 raise FormatError(f"{path}:{line_no}: {exc}") from None
-            poses.append(
-                PoseRecord(
-                    image_id=image_id,
-                    position=np.array([tx, ty, tz]),
-                    optical_axis=_quaternion_rotate_z(qx, qy, qz, qw),
-                )
-            )
+            poses.append(PoseRecord(image_id, np.array([tx, ty, tz]), axis))
     return poses
 
 

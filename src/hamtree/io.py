@@ -216,6 +216,25 @@ def read_descriptor_file(path) -> tuple[list[DescriptorEntry], int]:
 # Tree streams
 # ----------------------------------------------------------------------
 
+def _leaf_head(leaf: LeafNode) -> np.ndarray:
+    """A leaf's ``_RECORD_HEAD`` array, made without making an entry.
+
+    A caller-filled leaf encodes its entries. A loaded leaf starts from the
+    record rows it kept and overlays the encoded fields of the entries made
+    or appended since, so a leaf with none made writes its records as kept.
+    """
+    entries, records = leaf._entries, leaf._records
+    if records is None:
+        return _encode_head(entries)
+    made = [i for i, e in enumerate(entries) if e is not None]
+    if not made:
+        return records
+    head = np.empty(len(entries), dtype=_RECORD_HEAD)
+    head[: len(records)] = records
+    head[made] = _encode_head([entries[i] for i in made])
+    return head
+
+
 def serialize_tree(tree: HammingTree) -> bytes:
     """Serialize a tree to its preorder byte stream."""
     nbytes = _check_file_width(tree.dim_bits)
@@ -228,11 +247,7 @@ def serialize_tree(tree: HammingTree) -> bytes:
                 raise ValueError("leaf entry width does not match tree dim_bits")
             out += _LEAF.pack(0, len(node))
             if len(node):
-                # A loaded leaf with no entry made writes the head it kept.
-                head = node._record_rows()
-                if head is None:
-                    head = _encode_head(node.entries)
-                out += _join_records(head, packed)
+                out += _join_records(_leaf_head(node), packed)
         else:
             out += _INTERNAL.pack(1, node.bit_index)
     return bytes(out)

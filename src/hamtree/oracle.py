@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .descriptor import (
-    _COUNT_BLOCK_BYTES,
     DescriptorEntry,
+    _block_rows,
     _distance_blocks,
     _to_words,
     _word_columns,
@@ -244,15 +244,14 @@ def _completeness_pass(
     counted per tree as ``found``, shaped (trees, taus, n_q). A distance
     block holds whole query rows, so its pairs are final when it is
     produced; their XOR bits are unpacked in chunks whose float64 copy stays
-    under ``_COUNT_BLOCK_BYTES``, and nothing of size O(pairs) outlives the
-    block.
+    under the block budget, and nothing of size O(pairs) outlives the block.
     """
     n_q = q_matrix.shape[0]
     sizes = np.empty((len(taus), n_q), dtype=np.int64)
     found = np.empty((len(leaf_ids), len(taus), n_q), dtype=np.int64)
     lost = np.zeros((len(taus), dim_bits))
     q_words, r_words = _to_words(q_matrix), _to_words(r_matrix)
-    step = max(1, _COUNT_BLOCK_BYTES // (8 * dim_bits))
+    step = _block_rows(8 * dim_bits)
     for start, dists in _distance_blocks(q_words, _word_columns(r_matrix)):
         rows = slice(start, start + dists.shape[0])
         qi, ri = np.nonzero(dists <= max(taus))

@@ -46,6 +46,7 @@ from .descriptor import (
     descriptor_to_int,
     _UINT8,
     _bit_counts,
+    _block_rows,
     _row_popcount,
     _stack_checked,
 )
@@ -61,12 +62,6 @@ __all__ = [
     "select_split_bit",
     "HammingTree",
 ]
-
-# Cap on the descriptor bytes ``search_all_batch`` gathers into one block.
-# Queries are scanned in chunks whose reached-leaf rows stay under it (a
-# query whose leaf alone is larger is scanned on its own), so an oversize
-# leaf reached by many queries cannot blow up memory.
-_SCAN_CHUNK_BYTES = 1 << 23
 
 # ``insert`` compacts the arena it wrote to once released slabs hold more
 # than a quarter of its used rows and more than this many rows. A leaf that
@@ -216,19 +211,13 @@ class LeafNode:
         dim_bits: int,
         slab: tuple[_Arena, int, int],
         entries: list[DescriptorEntry | None],
-        records: np.ndarray | None = None,
     ) -> "LeafNode":
         """A leaf over the first ``len(entries)`` rows of ``slab``, taken as
-        they are.
-
-        With ``records``, a record array with fields image_id, keypoint_id,
-        x and y in that order, the rows' entries are made from the records
-        when first read, and ``entries`` must be ``[None] * len(records)``.
-        """
+        they are."""
         leaf = cls.__new__(cls)
         leaf._dim_bits = dim_bits
         leaf._entries = entries
-        leaf._records = records
+        leaf._records = None
         leaf._slab = slab
         return leaf
 
@@ -271,14 +260,6 @@ class LeafNode:
             i += len(self._entries)
         image_id, keypoint_id, x, y = self._records.item(i)
         return DescriptorEntry(self.packed()[i].copy(), image_id, keypoint_id, (x, y))
-
-    def _record_rows(self) -> np.ndarray | None:
-        """The record rows of a leaf read from a stream whose entries are all
-        unmade and which has had nothing appended; otherwise None."""
-        records = self._records
-        if records is None or len(records) != len(self._entries):
-            return None
-        return records if all(e is None for e in self._entries) else None
 
     def _row_fields(self) -> tuple[list[tuple], Sequence[np.ndarray]]:
         """Per row, the (image_id, keypoint_id, keypoint_xy) and descriptor
@@ -387,14 +368,15 @@ def _gather_scan(
 
     The reached rows of consecutive queries are gathered into one block by
     one index array, XORed with the repeated queries and counted; a block
-    stays under ``_SCAN_CHUNK_BYTES`` unless one query's leaf alone is larger.
+    stays under the block budget unless one query's leaf alone is larger, so
+    an oversize leaf reached by many queries cannot blow up memory.
     """
     # Query q's candidates are places starts[q]:ends[q] of the whole gather;
     # place p of query q is arena row p + shift[q].
     ends = np.cumsum(sizes)
     starts = ends - sizes
     shift = offsets - starts
-    cap_rows = max(1, _SCAN_CHUNK_BYTES // queries.shape[1])
+    cap_rows = _block_rows(queries.shape[1])
     empty = np.empty(0, dtype=np.int64)
     parts = [(empty, empty, empty, np.empty(0, dtype=np.int32))]
     lo = 0
@@ -905,7 +887,7 @@ class HammingTree:
         reached row is an arena row. The rows are then gathered into blocks,
         each by one index array built from the leaves' slab offsets, and
         compared with one XOR and popcount per block. A block takes a run of
-        consecutive queries whose rows stay under ``_SCAN_CHUNK_BYTES``; a
+        consecutive queries whose rows stay under the block budget; a
         query whose leaf alone is larger is scanned on its own.
         """
         queries = np.ascontiguousarray(queries, dtype=np.uint8)

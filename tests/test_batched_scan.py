@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import hamtree.tree
+import hamtree.descriptor
 from hamtree import (
     DescriptorEntry,
     HammingTree,
@@ -160,8 +160,8 @@ def test_search_all_batch_equals_per_query_search_all(case, cap):
     dim_bytes = (case.tree.dim_bits + 7) // 8
     matrix = (np.stack([q.descriptor for q in case.queries]) if case.queries
               else np.empty((0, dim_bytes), dtype=np.uint8))
-    cap_bytes = hamtree.tree._SCAN_CHUNK_BYTES if cap is None else cap
-    with mock.patch.object(hamtree.tree, "_SCAN_CHUNK_BYTES", cap_bytes):
+    cap_bytes = hamtree.descriptor._BLOCK_BYTES if cap is None else cap
+    with mock.patch.object(hamtree.descriptor, "_BLOCK_BYTES", cap_bytes):
         hits = case.tree.search_all_batch(matrix, case.tau)
     want = []
     for qi, query in enumerate(case.queries):
@@ -199,7 +199,7 @@ def test_batched_scan_of_an_oversize_leaf_stays_under_the_chunk_cap():
     tree = HammingTree.build_balanced(entries, TreeConfig(n_max=1000), 256)
     queries = random_descriptors(1000, 256, rng)
     cap = 1 << 20
-    with mock.patch.object(hamtree.tree, "_SCAN_CHUNK_BYTES", cap):
+    with mock.patch.object(hamtree.descriptor, "_BLOCK_BYTES", cap):
         tracemalloc.start()
         hits = tree.search_all_batch(queries, 100)
         _, peak = tracemalloc.get_traced_memory()

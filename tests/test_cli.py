@@ -313,7 +313,7 @@ def test_protocol_eval_without_truth_exits_one(tmp_path):
     ) == 1
 
 
-@pytest.mark.parametrize("bad", ["truth", "poses", "poses-nan"])
+@pytest.mark.parametrize("bad", ["truth", "poses", "poses-nan", "poses-zero"])
 def test_protocol_eval_reads_its_files_before_the_run(tmp_path, capsys, bad):
     # A bad row fails with its file and line, exit 2, before any image runs:
     # no timing CSV is written.
@@ -324,8 +324,9 @@ def test_protocol_eval_reads_its_files_before_the_run(tmp_path, capsys, bad):
         flags = ("--truth", path)
     else:
         path, line = tmp_path / "poses.txt", 2
-        field = "x" if bad == "poses" else "nan"
-        path.write_text(f"0 0 0 0 0 0 0 1\n1 0 0 {field} 0 0 0 1\n2 0 0 0 0 0 0 1\n")
+        pose = {"poses": "0 0 x 0 0 0 1", "poses-nan": "0 0 nan 0 0 0 1",
+                "poses-zero": "0 0 0 0 0 0 0"}[bad]
+        path.write_text(f"0 0 0 0 0 0 0 1\n1 {pose}\n2 0 0 0 0 0 0 1\n")
         flags = ("--compute-truth", "--poses", path)
     timing = tmp_path / "timing.csv"
     capsys.readouterr()
@@ -492,6 +493,30 @@ def test_completeness_tau_out_of_range_exits_one(tmp_path):
         "completeness", "--input", corpus, "--taus", "300", "--depths", "0-1",
         "--bits-csv", tmp_path / "b.csv", "--depth-csv", tmp_path / "d.csv",
     ) == 1
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--depths", "0-1000000", "depth 1000000 out of range for 256-bit trees"),
+    ("--taus", "5-1000000", "tau 1000000 out of range for 256-bit descriptors"),
+])
+def test_completeness_checks_a_range_before_expanding_it(tmp_path, capsys, flag, text, message):
+    # Expanded first, "0-1000000" made a list that peaked at about 40 MB.
+    corpus, _ = gen_corpus(tmp_path, images=2, per_image=10)
+    lists = {"--taus": "10", "--depths": "0-1", flag: text}
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run(
+            "completeness", "--input", corpus, *(x for item in lists.items() for x in item),
+            "--bits-csv", tmp_path / "b.csv", "--depth-csv", tmp_path / "d.csv",
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert peak < 1 << 20
+    assert not (tmp_path / "b.csv").exists()
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hamtree.descriptor
 from hamtree import (
+    HammingTree,
+    TreeConfig,
     bit_statistics,
+    depth_completeness,
     hamming,
     hamming_distances,
     pack_bits,
@@ -16,6 +22,9 @@ from hamtree import (
     random_descriptors,
     unpack_bits,
 )
+from hamtree.descriptor import _bit_counts, flip_bits
+
+from conftest import make_entries
 
 
 def reference_hamming(a: np.ndarray, b: np.ndarray) -> int:
@@ -147,6 +156,41 @@ def test_pairwise_hamming_equals_scalar_hamming(case):
 def test_pairwise_hamming_width_mismatch_raises():
     with pytest.raises(ValueError):
         pairwise_hamming(np.zeros((2, 8), np.uint8), np.zeros((2, 9), np.uint8))
+
+
+def test_one_byte_block_budget_changes_no_result():
+    # The one budget reaches every blocked loop: at 1 byte each block holds
+    # one row, and every result must equal the one from the default blocks
+    # (the completeness sums to rounding, since blocks regroup them).
+    rng = np.random.default_rng(35)
+    dim_bits = 100
+    refs = random_descriptors(60, dim_bits, rng)
+    queries = np.array([flip_bits(r, rng.choice(dim_bits, 6, replace=False)) for r in refs[:25]])
+    ref_entries, query_entries = make_entries(refs), make_entries(queries, image_id=1)
+    tree = HammingTree.build_balanced(ref_entries, TreeConfig(n_max=6), dim_bits)
+
+    def results():
+        hits = tree.search_all_batch(queries, 30)
+        exact = (
+            _bit_counts(refs, dim_bits).tolist(),
+            pairwise_hamming(queries, refs).tolist(),
+            [col.tolist() for col in (hits.query, hits.position, hits.image_id, hits.distance)],
+            [id(leaf) for leaf in hits.leaves],
+        )
+        reports = depth_completeness(query_entries, ref_entries, [0, 8, 30], [0, 1, 2], dim_bits)
+        return exact, reports
+
+    want, want_reports = results()
+    assert want[2][0], "the batched search finds no hit"
+    with mock.patch.object(hamtree.descriptor, "_BLOCK_BYTES", 1):
+        assert hamtree.descriptor._block_rows(dim_bits) == 1
+        got, reports = results()
+    assert got == want
+    assert [r.tau for r in reports] == [r.tau for r in want_reports]
+    for report, expected in zip(reports, want_reports):
+        np.testing.assert_allclose(report.per_bit, expected.per_bit, rtol=0, atol=1e-12)
+        assert report.per_depth_measured == pytest.approx(expected.per_depth_measured, abs=1e-12)
+        assert report.per_depth_predicted == pytest.approx(expected.per_depth_predicted, abs=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -153,6 +153,23 @@ def test_poses_file_round_trip(tmp_path):
     assert abs(np.linalg.norm(poses[1].optical_axis) - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_poses_file_axis_ignores_the_quaternion_scale(tmp_path, scale):
+    # Squared first, 1e200 overflowed to an infinite norm (axis +z) and
+    # 1e-200 underflowed to a zero one.
+    path = tmp_path / "poses.txt"
+    path.write_text(f"0 0 0 0 {scale!r} 0 0 0\n")
+    # A half turn about x turns +z into -z.
+    assert read_poses(path)[0].optical_axis.tolist() == [0.0, 0.0, -1.0]
+
+
+def test_poses_file_with_a_zero_quaternion_names_its_line(tmp_path):
+    path = tmp_path / "poses.txt"
+    path.write_text("0 0 0 0 0 0 0 1\n1 0 0 0 0 0 0 0\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: zero quaternion$"):
+        read_poses(path)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("field", range(7))
 def test_poses_file_with_a_non_finite_field_names_its_line(tmp_path, field, value):
@@ -322,8 +339,8 @@ def brute_force_cases(draw):
 def test_brute_force_protocol_equals_encoded_reduceat_reference(case, collect_matches, cap):
     images, tau = case
     with mock.patch.object(
-        hamtree.descriptor, "_MAX_CHUNK_BYTES",
-        hamtree.descriptor._MAX_CHUNK_BYTES if cap is None else cap,
+        hamtree.descriptor, "_BLOCK_BYTES",
+        hamtree.descriptor._BLOCK_BYTES if cap is None else cap,
     ):
         result = run_protocol_brute_force(
             images, RetrievalConfig(tau=tau), collect_matches=collect_matches
@@ -484,7 +501,7 @@ def test_brute_force_protocol_memory_stays_under_the_chunk_cap():
     config = RetrievalConfig(tau=20)
     unbounded = run_protocol_brute_force(images, config)
     cap = 1 << 18
-    with mock.patch.object(hamtree.descriptor, "_MAX_CHUNK_BYTES", cap):
+    with mock.patch.object(hamtree.descriptor, "_BLOCK_BYTES", cap):
         tracemalloc.start()
         result = run_protocol_brute_force(images, config)
         _, peak = tracemalloc.get_traced_memory()

@@ -170,6 +170,27 @@ def test_a_refused_split_of_a_loaded_leaf_makes_no_entry(made):
     assert len(made) == 0 and made_rows(loaded) == 1
 
 
+def test_saving_a_loaded_tree_with_some_rows_read_makes_no_entry(made):
+    # Encoding each leaf's entries made every row of a leaf with one read.
+    entries, tree = built_tree()
+    blob = serialize_tree(tree)
+    loaded = deserialize_tree(blob, tree.config)
+    leaves = [leaf for leaf in leaves_of(loaded) if len(leaf) > 1][:10]
+    for leaf in leaves:
+        leaf.entry(len(leaf) // 2)
+    extra = located(make_entries(random_descriptors(1, 256, np.random.default_rng(163))))[0]
+    extra.image_id = 12
+    del made[:]
+    assert serialize_tree(loaded) == blob
+    # A made entry's fields are what is written: an edited read entry and an
+    # appended one are encoded over the records.
+    leaves[0].entry(len(leaves[0]) // 2).keypoint_id += 1
+    leaves[0].append(extra)
+    appended = serialize_tree(loaded)
+    assert len(made) == 0 and made_rows(loaded) == 11
+    assert appended == reference_serialize_tree(loaded)
+
+
 # ----------------------------------------------------------------------
 # Concurrent readers
 # ----------------------------------------------------------------------

@@ -32,7 +32,13 @@ from hamtree import (
     random_descriptors,
     serialize_tree,
 )
-from hamtree.descriptor import _row_popcount, _stack_checked, descriptor_nbytes, flip_bits
+from hamtree.descriptor import (
+    _block_rows,
+    _row_popcount,
+    _stack_checked,
+    descriptor_nbytes,
+    flip_bits,
+)
 from hamtree.tree import LeafHits, _image_id_column
 
 from conftest import make_entries
@@ -96,7 +102,7 @@ def column_gather_scan(queries, leaves, sizes, tau):
     reached leaves' rows, then their image ids."""
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    cap_rows = max(1, hamtree.tree._SCAN_CHUNK_BYTES // queries.shape[1])
+    cap_rows = _block_rows(queries.shape[1])
     empty = np.empty(0, dtype=np.int64)
     parts = [(empty, empty, empty, np.empty(0, dtype=np.int32))]
     lo = 0

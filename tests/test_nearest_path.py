@@ -134,8 +134,8 @@ def test_nearest_path_equals_brute_force_nearest(corpus, one_add, one_row_blocks
     ranges += list(zip(matcher._starts, matcher._starts[1:] + [n]))
     words = _to_words(queries)
     # One query row per distance block exercises the block offsets.
-    block_bytes = 1 if one_row_blocks else hamtree.descriptor._BLOCK_TARGET_BYTES
-    with mock.patch.object(hamtree.descriptor, "_BLOCK_TARGET_BYTES", block_bytes):
+    block_bytes = 1 if one_row_blocks else hamtree.descriptor._BLOCK_BYTES
+    with mock.patch.object(hamtree.descriptor, "_BLOCK_BYTES", block_bytes):
         for lo, hi in ranges:
             rows, distance = matcher._nearest_rows(words, lo, hi)
             want = [first_argmin(matcher, query, lo, hi) for query in queries]

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hamtree.descriptor
-import hamtree.oracle
 from hamtree import (
     BruteForceMatcher,
     DescriptorEntry,
@@ -447,11 +446,8 @@ def test_completeness_equals_the_per_query_feasible_sets(case, tiny_blocks):
     queries, refs, taus, dim_bits = case
     depths = [0, 1, 3]
     with mock.patch.object(
-        hamtree.descriptor, "_BLOCK_TARGET_BYTES",
-        1 if tiny_blocks else hamtree.descriptor._BLOCK_TARGET_BYTES,
-    ), mock.patch.object(
-        hamtree.oracle, "_COUNT_BLOCK_BYTES",
-        1 if tiny_blocks else hamtree.oracle._COUNT_BLOCK_BYTES,
+        hamtree.descriptor, "_BLOCK_BYTES",
+        1 if tiny_blocks else hamtree.descriptor._BLOCK_BYTES,
     ):
         per_bit, measured, predicted = reference_depth_completeness(
             queries, refs, taus, depths, dim_bits
