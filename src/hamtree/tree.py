@@ -110,15 +110,25 @@ class TreeConfig:
         return dim_bits if self.max_depth is None else self.max_depth
 
 
+def _slab_size(n: int) -> int:
+    """The smallest slab size class that holds ``n`` rows. The classes are
+    8 rows and up, four per octave: 8, 10, 12, 14, 16, 20, 24, 28, 32, 40, ...
+    so a class is under a quarter larger than the rows it is sized for."""
+    step = 1 << max(0, (n - 1).bit_length() - 3)
+    return max(8, -(-n // step) * step)
+
+
 class _Arena:
     """Tree-wide descriptor-row and image-id columns; each leaf holds a slab.
 
     A slab ``(arena, offset, capacity)`` is rows ``offset:offset + capacity``
     of both columns, and its leaf fills them from the front. Rows from
     ``used`` on are growth slack. ``free`` maps a capacity to the offsets of
-    the released slabs of that capacity, which ``alloc`` hands out before it
-    takes new rows, and ``spare`` counts their rows. The writer of the tree
-    allocates; a read allocates only in ``adopt``, under ``_READ_LOCK``.
+    the released slabs of that capacity, which ``alloc`` hands out by best
+    fit before it takes new rows, and ``spare`` counts their rows. Growing
+    leaves ask for size classes (``_slab_size``); built and loaded leaves
+    get slabs of their exact size. The writer of the tree allocates; a read
+    allocates only in ``adopt``, under ``_READ_LOCK``.
     """
 
     __slots__ = ("rows", "ids", "used", "free", "spare")
@@ -135,14 +145,25 @@ class _Arena:
         nbytes = descriptor_nbytes(dim_bits)
         return cls(np.empty((0, nbytes), dtype=np.uint8), np.empty(0, dtype=np.int64))
 
-    def alloc(self, capacity: int) -> int:
-        """Offset of a slab of ``capacity`` rows: a released one of that
-        capacity, else the rows at ``used``. Full columns grow by an eighth,
-        so the slack stays under an eighth of the rows in use."""
-        released = self.free.get(capacity)
-        if released:
-            self.spare -= capacity
-            return released.pop()
+    def alloc(self, capacity: int) -> tuple[int, int]:
+        """The (offset, capacity) of a slab of at least ``capacity`` rows:
+        the smallest released one among the size classes from ``capacity``
+        up to under 1.5 times it, whose whole capacity the caller keeps, else
+        new rows at ``used``."""
+        size = capacity
+        while self.free and 2 * size < 3 * capacity:
+            released = self.free.get(size)
+            if released:
+                if len(released) == 1:
+                    del self.free[size]
+                self.spare -= size
+                return released.pop(), size
+            size = _slab_size(size + 1)
+        return self._take(capacity), capacity
+
+    def _take(self, capacity: int) -> int:
+        """Offset of ``capacity`` new rows at ``used``. Full columns grow by
+        an eighth, so the slack stays under an eighth of the rows in use."""
         start = self.used
         self.used = start + capacity
         if self.used > len(self.ids):
@@ -158,11 +179,12 @@ class _Arena:
 
     def adopt(self, leaves: Sequence["LeafNode"]) -> None:
         """Move every leaf of ``leaves`` that another arena holds into a slab
-        of this one of the same capacity, laid out in order in one block, and
-        release its old slab."""
+        of this one of the same capacity, laid out in order in one block of
+        new rows, and release its old slab. The block is no size class, so
+        it takes no released slab, whose tail would be lost."""
         with _READ_LOCK:
             strays = [leaf for leaf in dict.fromkeys(leaves) if leaf._slab[0] is not self]
-            offset = self.alloc(sum(leaf._slab[2] for leaf in strays))
+            offset = self._take(sum(leaf._slab[2] for leaf in strays))
             for leaf in strays:
                 arena, start, capacity = leaf._slab
                 n = len(leaf)
@@ -195,13 +217,15 @@ class LeafNode:
 
     # ``_entries[i]`` is row i's entry, or None while it is unmade;
     # ``_records`` holds the record rows until every entry is made;
-    # ``_slab`` is the (arena, offset, capacity) of the rows.
-    __slots__ = ("_entries", "_records", "_slab", "_dim_bits")
+    # ``_slab`` is the (arena, offset, capacity) of the rows; below ``_retry``
+    # rows a split must refuse, as ``HammingTree._maybe_split`` worked out.
+    __slots__ = ("_entries", "_records", "_slab", "_dim_bits", "_retry")
 
     def __init__(self, dim_bits: int, entries: Sequence[DescriptorEntry] = ()):
         self._entries: list[DescriptorEntry | None] = list(entries)
         self._records: np.ndarray | None = None
         self._dim_bits = dim_bits
+        self._retry = 0
         rows = _stack_checked(self._entries, descriptor_nbytes(dim_bits))
         self._slab = (_Arena(rows, _image_id_column(self._entries)), 0, len(rows))
 
@@ -219,6 +243,7 @@ class LeafNode:
         leaf._entries = entries
         leaf._records = None
         leaf._slab = slab
+        leaf._retry = 0
         return leaf
 
     def __del__(self) -> None:
@@ -282,12 +307,12 @@ class LeafNode:
         return keys, rows
 
     def append(self, entry: DescriptorEntry) -> None:
-        """Add ``entry`` as the last row; a full slab first moves to a new
-        one of twice its capacity (at least 8 rows)."""
+        """Add ``entry`` as the last row; a full slab first moves to one of
+        the next size class (``_slab_size``)."""
         arena, offset, capacity = self._slab
         n = len(self._entries)
         if n == capacity:
-            arena, offset, capacity = self._move(max(8, 2 * capacity))
+            arena, offset, capacity = self._move(_slab_size(capacity + 1))
         # The id goes first: one outside int64 leaves the entries untouched.
         try:
             arena.ids[offset + n] = entry.image_id
@@ -297,11 +322,11 @@ class LeafNode:
         self._entries.append(entry)
 
     def _move(self, capacity: int) -> tuple[_Arena, int, int]:
-        """Move the rows to a new slab of ``capacity`` rows in the same
-        arena, release the old one and return the new."""
+        """Move the rows to a new slab of at least ``capacity`` rows in the
+        same arena, release the old one and return the new."""
         arena, offset, old = self._slab
         n = len(self._entries)
-        start = arena.alloc(capacity)
+        start, capacity = arena.alloc(capacity)
         arena.rows[start : start + n] = arena.rows[offset : offset + n]
         arena.ids[start : start + n] = arena.ids[offset : offset + n]
         self._slab = slab = (arena, start, capacity)
@@ -666,7 +691,11 @@ class HammingTree:
         if root is None:
             root = LeafNode._in_slab(dim_bits, (self._arena, 0, 0), [])
         self.root = root
-        self.count = sum(len(leaf) for leaf, _ in self._iter_leaves())
+        self.count = 0
+        for leaf, _ in self._iter_leaves():
+            self.count += len(leaf)
+            # A refused split's bound holds for the config it was made under.
+            leaf._retry = 0
 
     @property
     def root(self) -> TreeNode:
@@ -695,7 +724,8 @@ class HammingTree:
         when it is at most n_max entries, at the depth limit, or when no bit
         is admissible under delta_max: ``insert``'s choice, ``_split``, made
         in preorder through ``_grow``. Runs in O(n * depth). Each leaf gets a
-        slab of its size; the slabs fill the arena in leaf order with no slack.
+        slab of its exact size, not a size class; the slabs fill the arena in
+        leaf order with no slack.
         """
         entries = list(entries)
         if dim_bits is None:
@@ -753,8 +783,8 @@ class HammingTree:
         of the tree's arena with room for at least ``capacity`` rows."""
         rows, image_ids, entries = columns
         n = len(subset)
-        arena, capacity = self._arena, max(capacity, n)
-        start = arena.alloc(capacity)
+        arena = self._arena
+        start, capacity = arena.alloc(max(capacity, n))
         # The ``take`` methods gather 100 rows in half the time the function does.
         rows.take(subset, axis=0, out=arena.rows[start : start + n])
         image_ids.take(subset, out=arena.ids[start : start + n])
@@ -921,14 +951,29 @@ class HammingTree:
         The leaf is converted to an internal node when its size exceeds n_max,
         an admissible split bit exists among the non-ancestor indices, and the
         depth limit has not been reached; otherwise it simply grows. It is
-        ``build_balanced``'s split for one level: both children are leaves
-        with room for n_max + 1 rows, even one over n_max. No rebalancing.
+        ``build_balanced``'s split for one level: each child is a leaf in a
+        slab of the size class of its rows (``_slab_size``), even one over
+        n_max. No rebalancing.
+
+        The descent keeps no path and counts no depth. Only a leaf that a
+        split may change is descended again, for its path: one over n_max and
+        at or past the size where a refused split may first succeed. A leaf
+        found at the depth limit is never tried again.
         """
-        path: list[InternalNode] = []
-        leaf, _ = self._descend(self._key(entry.descriptor), path)
+        key = self._key(entry.descriptor)
+        leaf = self._root
+        while isinstance(leaf, InternalNode):
+            leaf = leaf.right if (key >> leaf.bit_index) & 1 else leaf.left
         leaf.append(entry)
         self.count += 1
-        self._maybe_split(leaf, path)
+        n = len(leaf._entries)
+        if n > self.config.n_max and n >= leaf._retry:
+            path: list[InternalNode] = []
+            self._descend(key, path)
+            if len(path) < self.config.depth_limit(self.dim_bits):
+                self._maybe_split(leaf, path)
+            else:
+                leaf._retry = float("inf")
         arena = leaf._slab[0]
         if arena.spare > _COMPACT_MIN_ROWS and 4 * arena.spare > arena.used:
             self._compact()
@@ -946,19 +991,18 @@ class HammingTree:
             self.insert(entry)
 
     def _maybe_split(self, leaf: LeafNode, path: list[InternalNode]) -> None:
-        cfg = self.config
-        # The cheap test first: it runs on every insert.
-        if len(leaf) <= cfg.n_max or len(path) >= cfg.depth_limit(self.dim_bits):
-            return
+        """Split ``leaf``, over n_max at ``path`` above the depth limit, if a
+        bit is admissible; else set its ``_retry``."""
         rows = leaf.packed()
         counts, forbidden = _bit_counts(rows, self.dim_bits), {n.bit_index for n in path}
         split = self._split(rows, np.arange(len(rows)), counts, forbidden)
         if split is None:
+            leaf._retry = self._retry_size(counts, len(rows), forbidden)
             return
-        # Only a split makes the entries; each child has room for n_max + 1 rows.
+        # Only a split makes the entries; each child gets the size class of its rows.
         columns = (rows, leaf.image_ids(), np.fromiter(leaf.entries, object, len(rows)))
         bit, halves = split
-        node = InternalNode(bit, *(self._new_leaf(columns, h, cfg.n_max + 1) for h in halves))
+        node = InternalNode(bit, *(self._new_leaf(columns, h, _slab_size(len(h))) for h in halves))
         if self._routes is not None and not self._routes.split(path, leaf, node):
             self._routes = None
         if not path:
@@ -967,6 +1011,28 @@ class HammingTree:
             path[-1].right = node
         else:
             path[-1].left = node
+
+    def _retry_size(self, counts: np.ndarray, n: int, forbidden: set[int]) -> float:
+        """The leaf size below which a split refused over ``n`` rows with
+        per-bit set counts ``counts`` must refuse again.
+
+        A leaf's path, and with it ``forbidden``, changes only by a split of
+        the leaf. After j more rows, bit k's count lies in [c_k, c_k + j]
+        over n + j rows, so a bit below the admissible band [0.5 - delta,
+        0.5 + delta] can reach it only once j >= ((0.5 - delta) n - c_k) /
+        (0.5 + delta), and a bit above only once j >= (c_k - (0.5 + delta)
+        n) / (0.5 + delta). The size is n plus the least such j, rounded down
+        and less one against float rounding; infinite when every bit is
+        forbidden.
+        """
+        allowed = np.ones(len(counts), dtype=bool)
+        allowed[[k for k in forbidden if 0 <= k < len(counts)]] = False
+        if not allowed.any():
+            return float("inf")
+        delta = self.config.delta_max
+        c = counts[allowed]
+        gap = np.maximum((0.5 - delta) * n - c, c - (0.5 + delta) * n)
+        return n + int(gap.min() / (0.5 + delta)) - 1
 
     def search_and_insert(
         self, entries: Sequence[DescriptorEntry], tau: int | None = None

@@ -39,10 +39,10 @@ from hamtree.descriptor import (
     descriptor_nbytes,
     flip_bits,
 )
-from hamtree.tree import LeafHits, _image_id_column
+from hamtree.tree import LeafHits, _Arena, _image_id_column, _slab_size
 
 from conftest import make_entries
-from test_tree_walk import corpora, hand_built
+from test_tree_walk import corpora, hand_built, nodes, replace
 
 PROPERTY = settings(
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -395,8 +395,8 @@ def test_released_slabs_are_reused():
 
     The corpus splits into about 2600 leaves and leaves about 120 oversize
     ones: 10% of its rows are near copies of 200 descriptors, which no split
-    separates. Every split releases a slab of n_max + 1 rows and every
-    grown leaf one of its old capacity. Reused, they leave under a fifth of
+    separates. Every split releases its leaf's slab and every grown leaf one
+    of its old size class. Reused by best fit, they leave under a fifth of
     the stored rows unused at any checkpoint; an arena that never reused one
     left 1.9 times the stored rows unused before it compacted.
     """
@@ -417,13 +417,116 @@ def test_released_slabs_are_reused():
 
 
 def test_compaction_drops_the_slabs_a_growing_leaf_outgrew():
-    """A leaf that grows to 20,000 rows doubles its slab 12 times, and only
-    a leaf of the same capacity could take a slab it outgrew. Compaction
+    """A leaf that grows to 20,000 rows moves through about 45 size classes,
+    and no request of a larger class takes a slab it outgrew. Compaction
     keeps the arena within twice the stored rows, where the per-leaf columns
-    held 1.6 times; without it the arena held 3.3 times."""
+    held 1.6 times."""
     matrix = random_descriptors(20_000, 256, np.random.default_rng(191))
     tree = HammingTree(256, TreeConfig(n_max=20_000))
     tree.add(make_entries(matrix))
     assert tree.depth_stats().leaf_count == 1
     assert len(tree._arena.ids) <= 2 * tree.count
     assert unused_rows(tree) <= max(tree._arena.used // 4, hamtree.tree._COMPACT_MIN_ROWS)
+
+
+# ----------------------------------------------------------------------
+# Size classes and best fit
+# ----------------------------------------------------------------------
+
+def test_slab_sizes_are_four_classes_per_octave():
+    sizes = [_slab_size(n) for n in range(1, 5000)] + [_slab_size(2**20 + 1)]
+    assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+    for n, size in zip(range(1, 5000), sizes):
+        assert size >= n
+        assert n <= 8 or size < 1.25 * n + 1
+    assert 2**20 + 1 <= sizes[-1] < 1.25 * (2**20 + 1) + 1
+    assert sorted(set(sizes[:40])) == [8, 10, 12, 14, 16, 20, 24, 28, 32, 40]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 300), st.integers(0, 10**6)),
+                max_size=60))
+def test_alloc_reuses_a_released_slab_under_one_and_a_half_times_the_request(ops):
+    arena = _Arena.empty(64)
+    live: list[tuple[int, int]] = []
+    released: dict[int, int] = {}
+    for take, n, pick in ops:
+        if take or not live:
+            request = _slab_size(n)
+            used = arena.used
+            offset, capacity = arena.alloc(request)
+            if offset in released:
+                assert released.pop(offset) == capacity
+                assert request <= capacity < 1.5 * request
+                # The smallest fitting class: none between was released.
+                assert all(not request <= size < capacity for size in released.values())
+            else:
+                assert (offset, capacity) == (used, request)
+            live.append((offset, capacity))
+        else:
+            offset, capacity = live.pop(pick % len(live))
+            arena.release(offset, capacity)
+            released[offset] = capacity
+    assert arena.spare == sum(released.values())
+    free = [(offset, size) for size, offsets in arena.free.items() for offset in offsets]
+    assert sorted(free) == sorted(released.items())
+
+
+def assert_rows_partitioned(tree):
+    """Every row of the tree's arena lies in exactly one of a live leaf's
+    slab, a released slab and the growth tail."""
+    arena = tree._arena
+    live = [leaf._slab[1:] for leaf, _ in tree._iter_leaves() if leaf._slab[0] is arena]
+    released = [(offset, size) for size, offsets in arena.free.items() for offset in offsets]
+    assert arena.spare == sum(size for _, size in released)
+    tail = [(arena.used, len(arena.ids) - arena.used)]
+    end = 0
+    for start, size in sorted(span for span in live + released + tail if span[1]):
+        assert start == end
+        end = start + size
+    assert end == len(arena.ids)
+
+
+@PROPERTY
+@given(corpora(max_entries=150), settings_(), st.integers(0, 2**32 - 1))
+def test_every_arena_row_is_live_released_or_tail(corpus, setup, seed):
+    entries, dim_bits = corpus
+    config, _, patch = setup
+    config = applied(config, dim_bits)
+    rng = np.random.default_rng(seed)
+    tree = HammingTree(dim_bits, config)
+    third = len(entries) // 3
+    with patch:
+        tree.add(entries[:third])
+        assert_rows_partitioned(tree)
+        # Leaves rebuilt by hand over the same entries, each in an arena of its
+        # own; a batched search copies the ones it reaches in.
+        for node, parent, side, _ in nodes(tree.root):
+            if isinstance(node, LeafNode) and rng.random() < 0.5:
+                replace(tree, parent, side, LeafNode(dim_bits, node.entries))
+        del node
+        tree.root = tree.root
+        tree.search_all_batch(probe(entries[third:], dim_bits, rng))
+        assert_rows_partitioned(tree)
+        tree.add(entries[third:])
+        assert_rows_partitioned(tree)
+    tree.check_invariants()
+
+
+def test_split_and_grown_slabs_leave_few_rows_unfilled():
+    """Split children and grown leaves take the size class of their rows,
+    under a quarter more, so slab rows that no leaf fills stay under 15% of
+    the stored rows on a stream-like corpus: half of its rows are near copies
+    of 200 descriptors. Children of n_max + 1 rows and doubled full leaves
+    left 40% unfilled."""
+    rng = np.random.default_rng(193)
+    matrix = random_descriptors(20_000, 256, rng)
+    centres = random_descriptors(200, 256, rng)
+    for i in np.flatnonzero(rng.random(len(matrix)) < 0.5):
+        flipped = rng.choice(256, size=int(rng.integers(0, 5)), replace=False)
+        matrix[i] = flip_bits(centres[rng.integers(len(centres))], flipped)
+    tree = HammingTree(256, TreeConfig(n_max=50, delta_max=0.1))
+    tree.add(make_entries(matrix))
+    capacity = sum(leaf._slab[2] for leaf, _ in tree._iter_leaves())
+    assert capacity - tree.count < 0.15 * tree.count
+    assert_rows_partitioned(tree)
