@@ -21,14 +21,13 @@ XORs a block of queries against that row into a preallocated ``(block, N)``
 buffer, popcounts that into a uint8 buffer, and adds it into the int32
 distance block. Every blocked loop (this kernel, the per-bit counts, the
 completeness sweep, the batched leaf gather) sizes its blocks by one budget,
-``_BLOCK_BYTES``, through ``_block_rows``, and the kernel also by a smaller
-caller cap, so no temporary grows with the number of rows or queries.
+``_BLOCK_BYTES``, through ``_block_rows``, so no temporary grows with the
+number of rows or queries.
 """
 
 from __future__ import annotations
 
 import functools
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -183,9 +182,7 @@ def _word_columns(matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_to_words(matrix).T)
 
 
-def _distance_blocks(
-    query_words: np.ndarray, columns: np.ndarray, max_chunk_bytes: int = sys.maxsize
-):
+def _distance_blocks(query_words: np.ndarray, columns: np.ndarray):
     """Yield ``(start, dist)`` over consecutive blocks of queries.
 
     ``query_words`` is ``(n_q, words)`` from ``_to_words`` and ``columns`` the
@@ -193,8 +190,7 @@ def _distance_blocks(
     contiguous). ``dist[i, j]`` is the int32 distance from query
     ``start + i`` to reference ``j``; one buffer is reused, so a block is
     valid only until the next is produced. The buffers stay under the block
-    budget and under ``max_chunk_bytes``, or hold one query row where a row
-    alone is larger.
+    budget, or hold one query row where a row alone is larger.
     """
     n_q, n_words = query_words.shape
     if columns.shape[0] != n_words:
@@ -202,7 +198,7 @@ def _distance_blocks(
     n_r = columns.shape[1]
     # Per pair, a block holds one XOR word, its count and an int32 distance.
     per_row = max(1, n_r * (8 + 1 + 4))
-    rows = max(1, min(n_q, _block_rows(per_row), max_chunk_bytes // per_row))
+    rows = max(1, min(n_q, _block_rows(per_row)))
     xor = np.empty((rows, n_r), dtype=np.uint64)
     count = np.empty((rows, n_r), dtype=np.uint8)
     block = np.zeros((rows, n_r), dtype=np.int32)
@@ -218,20 +214,18 @@ def _distance_blocks(
         yield start, block[:b]
 
 
-def pairwise_hamming(
-    queries: np.ndarray, refs: np.ndarray, max_chunk_bytes: int = 1 << 26
-) -> np.ndarray:
+def pairwise_hamming(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Full (N_q, N_r) Hamming distance matrix between two packed matrices.
 
     Computed by the word-major kernel (see the module docstring) in query
-    blocks whose temporaries stay under ``max_chunk_bytes``.
+    blocks whose temporaries stay under the block budget.
     """
     queries = np.asarray(queries, dtype=np.uint8)
     refs = np.asarray(refs, dtype=np.uint8)
     if queries.shape[1] != refs.shape[1]:
         raise ValueError(f"width mismatch: {queries.shape[1]} vs {refs.shape[1]} bytes")
     out = np.empty((queries.shape[0], refs.shape[0]), dtype=np.int32)
-    for start, dist in _distance_blocks(_to_words(queries), _word_columns(refs), max_chunk_bytes):
+    for start, dist in _distance_blocks(_to_words(queries), _word_columns(refs)):
         out[start : start + dist.shape[0]] = dist
     return out
 

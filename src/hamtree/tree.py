@@ -11,18 +11,16 @@ and ``build_balanced`` and the stream loader make nodes through one builder,
 
 Trees are single-writer / multi-reader: any number of concurrent searches may
 run against an unchanging tree, while ``insert`` and ``search_and_insert``
-require exclusive access. A read writes three things. The first ``search_all``
-or batched descent (``search_all_batch``, or the completeness sweep's
-``_leaf_ids``) builds the tree's routing arrays (``_Routes``) from the node
-graph and later ones reuse them; concurrent first reads build equal
-arrays, and whichever is stored last is kept. A split keeps the arrays up to
-date and assigning ``root`` drops them, so a caller that edits nodes in place
-after a range search must assign ``root`` again before the next one. A
-batched search copies any reached leaf whose rows are not in the tree's
-arena (a hand-built leaf, or one another tree took over) into it, under a
-lock. And on a tree read from a stream, the first read of a stored row makes
-its entry and caches it on the leaf; that step holds the same lock, so
-concurrent first reads of one row all return the one cached entry.
+require exclusive access. A read writes two things, and never an arena. The
+first ``search_all`` or batched descent (``search_all_batch``, or the
+completeness sweep's ``_leaf_ids``) builds the tree's routing arrays
+(``_Routes``) from the node graph and later ones reuse them; concurrent first
+reads build equal arrays, and whichever is stored last is kept. A split keeps
+the arrays up to date and assigning ``root`` drops them, so a caller that
+edits nodes in place after a range search must assign ``root`` again before
+the next one. And on a tree read from a stream, the first read of a stored
+row makes its entry and caches it on the leaf, under a lock, so concurrent
+first reads of one row all return the one cached entry.
 
 A leaf's rows live in a slab of its arena, so ``packed()`` and
 ``image_ids()`` are views of the arena's columns. Such a view is valid until
@@ -72,9 +70,8 @@ __all__ = [
 # nothing worth the copy.
 _COMPACT_MIN_ROWS = 1 << 12
 
-# Held while a read writes: while a loaded leaf makes an entry, so that
-# threads reading one row for the first time at once all get the entry that
-# is cached, and while a tree's arena takes in leaves held elsewhere.
+# Held while a loaded leaf makes an entry, so that threads reading one row
+# for the first time at once all get the entry that is cached.
 _READ_LOCK = threading.Lock()
 
 
@@ -126,9 +123,9 @@ class _Arena:
     ``used`` on are growth slack. ``free`` maps a capacity to the offsets of
     the released slabs of that capacity, which ``alloc`` hands out by best
     fit before it takes new rows, and ``spare`` counts their rows. Growing
-    leaves ask for size classes (``_slab_size``); built and loaded leaves
-    get slabs of their exact size. The writer of the tree allocates; a read
-    allocates only in ``adopt``, under ``_READ_LOCK``.
+    leaves ask for size classes (``_slab_size``); built, loaded and
+    compacted leaves get slabs of their exact size. Only the tree's writer
+    allocates and releases; a read never does.
     """
 
     __slots__ = ("rows", "ids", "used", "free", "spare")
@@ -141,15 +138,19 @@ class _Arena:
         self.spare = 0
 
     @classmethod
-    def empty(cls, dim_bits: int) -> "_Arena":
+    def empty(cls, dim_bits: int, rows: int = 0) -> "_Arena":
+        """An arena with no slab and columns of ``rows`` rows, all slack."""
         nbytes = descriptor_nbytes(dim_bits)
-        return cls(np.empty((0, nbytes), dtype=np.uint8), np.empty(0, dtype=np.int64))
+        arena = cls(np.empty((rows, nbytes), dtype=np.uint8), np.empty(rows, dtype=np.int64))
+        arena.used = 0
+        return arena
 
     def alloc(self, capacity: int) -> tuple[int, int]:
         """The (offset, capacity) of a slab of at least ``capacity`` rows:
         the smallest released one among the size classes from ``capacity``
         up to under 1.5 times it, whose whole capacity the caller keeps, else
-        new rows at ``used``."""
+        new rows at ``used``. Full columns grow by an eighth, so the slack
+        stays under an eighth of the rows in use."""
         size = capacity
         while self.free and 2 * size < 3 * capacity:
             released = self.free.get(size)
@@ -159,40 +160,18 @@ class _Arena:
                 self.spare -= size
                 return released.pop(), size
             size = _slab_size(size + 1)
-        return self._take(capacity), capacity
-
-    def _take(self, capacity: int) -> int:
-        """Offset of ``capacity`` new rows at ``used``. Full columns grow by
-        an eighth, so the slack stays under an eighth of the rows in use."""
         start = self.used
         self.used = start + capacity
         if self.used > len(self.ids):
             size = max(self.used, len(self.ids) + len(self.ids) // 8)
             self.rows = _grown(self.rows, size)
             self.ids = _grown(self.ids, size)
-        return start
+        return start, capacity
 
     def release(self, offset: int, capacity: int) -> None:
         if capacity:
             self.free.setdefault(capacity, []).append(offset)
             self.spare += capacity
-
-    def adopt(self, leaves: Sequence["LeafNode"]) -> None:
-        """Move every leaf of ``leaves`` that another arena holds into a slab
-        of this one of the same capacity, laid out in order in one block of
-        new rows, and release its old slab. The block is no size class, so
-        it takes no released slab, whose tail would be lost."""
-        with _READ_LOCK:
-            strays = [leaf for leaf in dict.fromkeys(leaves) if leaf._slab[0] is not self]
-            offset = self._take(sum(leaf._slab[2] for leaf in strays))
-            for leaf in strays:
-                arena, start, capacity = leaf._slab
-                n = len(leaf)
-                self.rows[offset : offset + n] = arena.rows[start : start + n]
-                self.ids[offset : offset + n] = arena.ids[start : start + n]
-                leaf._slab = (self, offset, capacity)
-                arena.release(start, capacity)
-                offset += capacity
 
 
 class LeafNode:
@@ -201,8 +180,8 @@ class LeafNode:
     The entries' descriptors and image ids are stored as rows of a slab of
     an arena (``_Arena``): a tree's leaves share its arena, so a batched scan
     gathers the rows of many leaves with one index. A leaf built by hand
-    starts with an arena of its own and is copied into a tree's arena by the
-    tree's first batched search that reaches it. The slab is released when
+    starts with an arena of its own, which it keeps until the tree's next
+    compaction moves it into the tree's arena. The slab is released when
     the leaf is dropped. Per-bit set counts are not kept; they are computed
     from the rows when asked for, which happens only when a split is
     considered.
@@ -308,11 +287,14 @@ class LeafNode:
 
     def append(self, entry: DescriptorEntry) -> None:
         """Add ``entry`` as the last row; a full slab first moves to one of
-        the next size class (``_slab_size``)."""
+        the next size class (``_slab_size``). ValueError, with nothing
+        written, for a descriptor of another width."""
         arena, offset, capacity = self._slab
+        if len(entry.descriptor) != arena.rows.shape[1]:
+            _stack_checked([entry], arena.rows.shape[1])  # raises, naming the entry
         n = len(self._entries)
         if n == capacity:
-            arena, offset, capacity = self._move(_slab_size(capacity + 1))
+            arena, offset, capacity = self._move(arena, _slab_size(capacity + 1))
         # The id goes first: one outside int64 leaves the entries untouched.
         try:
             arena.ids[offset + n] = entry.image_id
@@ -321,16 +303,16 @@ class LeafNode:
         arena.rows[offset + n] = entry.descriptor
         self._entries.append(entry)
 
-    def _move(self, capacity: int) -> tuple[_Arena, int, int]:
-        """Move the rows to a new slab of at least ``capacity`` rows in the
-        same arena, release the old one and return the new."""
-        arena, offset, old = self._slab
+    def _move(self, arena: _Arena, capacity: int) -> tuple[_Arena, int, int]:
+        """Move the rows to a new slab of ``arena`` of at least ``capacity``
+        rows, release the old one and return the new."""
+        old_arena, offset, old = self._slab
         n = len(self._entries)
         start, capacity = arena.alloc(capacity)
-        arena.rows[start : start + n] = arena.rows[offset : offset + n]
-        arena.ids[start : start + n] = arena.ids[offset : offset + n]
+        arena.rows[start : start + n] = old_arena.rows[offset : offset + n]
+        arena.ids[start : start + n] = old_arena.ids[offset : offset + n]
         self._slab = slab = (arena, start, capacity)
-        arena.release(offset, old)
+        old_arena.release(offset, old)
         return slab
 
     def packed(self) -> np.ndarray:
@@ -685,8 +667,9 @@ class HammingTree:
         self.dim_bits = dim_bits
         self.config = config if config is not None else TreeConfig()
         self.config.validate(dim_bits)
-        # The arena of the tree's leaves; one given with ``root`` is copied in
-        # by the first batched search that reaches it.
+        # The arena of the tree's leaves. A given ``root``'s leaves keep
+        # their slabs until a compaction moves them in; a batched search
+        # reads the ones held elsewhere through a copy.
         self._arena = _Arena.empty(dim_bits)
         if root is None:
             root = LeafNode._in_slab(dim_bits, (self._arena, 0, 0), [])
@@ -738,8 +721,7 @@ class HammingTree:
         matrix = _stack_checked(entries, descriptor_nbytes(dim_bits))
         columns = (matrix, _image_id_column(entries), np.fromiter(entries, object, len(entries)))
         # Exact slabs fill columns of the corpus's size, so they never grow.
-        arena = tree._arena
-        arena.rows, arena.ids = _grown(arena.rows, len(entries)), _grown(arena.ids, len(entries))
+        tree._arena = _Arena.empty(dim_bits, len(entries))
         n_max, levels = tree.config.n_max, tree.config.depth_limit(dim_bits)
         # The (rows, per-bit set counts) of the nodes still to make, the next
         # on top: ``_grow`` asks for a node's left child before its right.
@@ -912,25 +894,32 @@ class HammingTree:
     def search_all_batch(self, queries: np.ndarray, tau: int | None = None) -> LeafHits:
         """``search_all`` for every row of an (n, W) packed query matrix.
 
-        The rows descend together (``_leaf_ids``). A reached leaf whose rows
-        are not in the tree's arena is copied into it first, so every
-        reached row is an arena row. The rows are then gathered into blocks,
-        each by one index array built from the leaves' slab offsets, and
-        compared with one XOR and popcount per block. A block takes a run of
-        consecutive queries whose rows stay under the block budget; a
-        query whose leaf alone is larger is scanned on its own.
+        The rows descend together (``_leaf_ids``) and are gathered from the
+        tree's arena into blocks, each by one index array built from the
+        leaves' slab offsets, and compared with one XOR and popcount per
+        block. A block takes a run of consecutive queries whose rows stay
+        under the block budget; a query whose leaf alone is larger is scanned
+        on its own. When a reached leaf's rows lie in another arena (a
+        hand-built leaf, or one another tree moved), the rows are gathered
+        from a copy of the reached leaves' rows made for this call.
         """
         queries = np.ascontiguousarray(queries, dtype=np.uint8)
         if tau is None:
             tau = self.config.tau
         leaf_ids, by_id = self._leaf_ids(queries)
         leaves = [by_id[k] for k in leaf_ids.tolist()]
-        arena = self._arena
-        if any(leaf._slab[0] is not arena for leaf in leaves):
-            arena.adopt(leaves)
         n = len(leaves)
-        offsets = np.fromiter((leaf._slab[1] for leaf in leaves), np.int64, n)
         sizes = np.fromiter((len(leaf._entries) for leaf in leaves), np.int64, n)
+        arena = self._arena
+        if all(leaf._slab[0] is arena for leaf in leaves):
+            offsets = np.fromiter((leaf._slab[1] for leaf in leaves), np.int64, n)
+        else:
+            reached = dict.fromkeys(leaves)
+            arena = _Arena(np.concatenate([leaf.packed() for leaf in reached]),
+                           np.concatenate([leaf.image_ids() for leaf in reached]))
+            starts = np.cumsum([0] + [len(leaf._entries) for leaf in reached]).tolist()
+            offset = dict(zip(reached, starts))
+            offsets = np.fromiter((offset[leaf] for leaf in leaves), np.int64, n)
         parts = _gather_scan(queries, arena, offsets, sizes, tau)
         return LeafHits(*(np.concatenate(cols) for cols in zip(*parts)), leaves=leaves)
 
@@ -980,9 +969,12 @@ class HammingTree:
 
     def _compact(self) -> None:
         """Move every leaf into a new arena, each in a slab of its capacity,
-        in leaf order, leaving the released slabs of the old one behind."""
-        arena = _Arena.empty(self.dim_bits)
-        arena.adopt([leaf for leaf, _ in self._iter_leaves()])
+        in leaf order, leaving the released slabs of the old one behind. The
+        new columns hold exactly those slabs."""
+        leaves = dict.fromkeys(leaf for leaf, _ in self._iter_leaves())
+        arena = _Arena.empty(self.dim_bits, sum(leaf._slab[2] for leaf in leaves))
+        for leaf in leaves:
+            leaf._move(arena, leaf._slab[2])
         self._arena = arena
 
     def add(self, entries: Sequence[DescriptorEntry]) -> None:

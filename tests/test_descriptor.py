@@ -116,7 +116,8 @@ def test_pairwise_hamming_matches_scalar_kernel():
     rng = np.random.default_rng(6)
     a = random_descriptors(17, 128, rng)
     b = random_descriptors(23, 128, rng)
-    matrix = pairwise_hamming(a, b, max_chunk_bytes=1 << 10)
+    with mock.patch.object(hamtree.descriptor, "_BLOCK_BYTES", 1 << 10):
+        matrix = pairwise_hamming(a, b)
     for i in range(17):
         for j in range(23):
             assert matrix[i, j] == hamming(a[i], b[j])
@@ -124,11 +125,11 @@ def test_pairwise_hamming_matches_scalar_kernel():
 
 @st.composite
 def pairwise_cases(draw):
-    """Query and reference matrices of 1-64 bytes and a chunk cap.
+    """Query and reference matrices of 1-64 bytes and a block budget.
 
     Toy widths keep the unused high bits of the last byte at zero. The
     complement of the first query is planted among the references, so the
-    full-width distance occurs. A cap of 1 byte leaves one query per block.
+    full-width distance occurs. A budget of 1 byte leaves one query per block.
     """
     nbytes = draw(st.integers(1, 64))
     dim_bits = draw(st.integers(8 * nbytes - 7, 8 * nbytes))
@@ -146,7 +147,8 @@ def pairwise_cases(draw):
 @given(case=pairwise_cases())
 def test_pairwise_hamming_equals_scalar_hamming(case):
     queries, refs, cap = case
-    matrix = pairwise_hamming(queries, refs, max_chunk_bytes=cap)
+    with mock.patch.object(hamtree.descriptor, "_BLOCK_BYTES", cap):
+        matrix = pairwise_hamming(queries, refs)
     assert matrix.dtype == np.int32
     assert matrix.shape == (len(queries), len(refs))
     want = [[reference_hamming(q, r) for r in refs] for q in queries]

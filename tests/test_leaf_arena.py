@@ -18,6 +18,7 @@ import threading
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -217,6 +218,29 @@ def assert_same_trees(tree, reference):
         assert serialize_tree(tree) == serialize_tree(reference)
 
 
+def arena_state(tree):
+    """The slab of every leaf, and every arena those slabs and the tree use
+    with its columns, a copy of them, its used rows, released slabs and
+    spare rows."""
+    slabs = [leaf._slab for leaf, _ in tree._iter_leaves()]
+    arenas = dict.fromkeys([tree._arena] + [slab[0] for slab in slabs])
+    return slabs, [
+        (arena, arena.rows, arena.ids, arena.rows.copy(), arena.ids.copy(), arena.used,
+         {size: list(offsets) for size, offsets in arena.free.items()}, arena.spare)
+        for arena in arenas
+    ]
+
+
+def assert_no_arena_written(tree, state):
+    """Every leaf keeps its slab and every arena is as ``state`` recorded."""
+    slabs, arenas = state
+    assert [leaf._slab for leaf, _ in tree._iter_leaves()] == slabs
+    for arena, rows, ids, row_copy, id_copy, used, free, spare in arenas:
+        assert arena.rows is rows and arena.ids is ids
+        assert np.array_equal(rows, row_copy) and np.array_equal(ids, id_copy)
+        assert (arena.used, arena.free, arena.spare) == (used, free, spare)
+
+
 def probe(entries, dim_bits, rng):
     """The entries' rows, a one-bit variant of each, and a few random rows."""
     width = descriptor_nbytes(dim_bits)
@@ -311,9 +335,11 @@ def test_hand_built_graphs_edited_in_place_match_the_per_leaf_columns(corpus, se
     reference = ColumnTree(dim_bits, tree.config, root=column_copy(tree.root, dim_bits))
     tau = tau % (dim_bits + 1)
     queries = probe(entries, dim_bits, rng)
-    # The first batched search moves the leaves it reaches into the tree's arena.
+    # Every leaf holds an arena of its own; a batched search reads the ones it
+    # reaches through a copy and writes no arena.
+    state = arena_state(tree)
     assert_same_answers(tree, reference, queries, tau)
-    assert all(leaf._slab[0] is tree._arena for leaf in tree.search_all_batch(queries).leaves)
+    assert_no_arena_written(tree, state)
     # Rows appended in place: copies of a leaf's rows under new keypoint ids.
     pairs = list(zip(tree._iter_leaves(), reference._iter_leaves()))
     for (leaf, _), (ref_leaf, _) in pairs:
@@ -323,11 +349,24 @@ def test_hand_built_graphs_edited_in_place_match_the_per_leaf_columns(corpus, se
             ref_leaf.append(copy)
     tree.count = reference.count = sum(len(leaf) for (leaf, _), _ in pairs)
     assert_same_answers(tree, reference, queries, tau)
-    # A second tree over the same graph takes the leaves into its own arena,
-    # and the first takes back each one its next search reaches.
+    # A second tree over the same graph reads the same slabs; neither tree's
+    # searches move a leaf.
     other = HammingTree(dim_bits, tree.config, root=tree.root)
+    states = arena_state(tree), arena_state(other)
     assert_same_answers(other, reference, queries, tau)
     assert_same_answers(tree, reference, queries, tau)
+    assert_no_arena_written(tree, states[0])
+    assert_no_arena_written(other, states[1])
+    # A compaction moves every leaf into one new arena of exact slabs.
+    tree._compact()
+    arena = tree._arena
+    leaves = dict.fromkeys(leaf for leaf, _ in tree._iter_leaves())
+    assert all(leaf._slab[0] is arena for leaf in leaves)
+    assert len(arena.ids) == arena.used == sum(leaf._slab[2] for leaf in leaves)
+    assert not arena.free
+    assert_rows_partitioned(tree)
+    assert_same_answers(tree, reference, queries, tau)
+    assert_same_answers(other, reference, queries, tau)
     assert_same_trees(tree, reference)
 
 
@@ -360,10 +399,11 @@ def concurrent_batched_searches(tree, queries, tau, threads=4):
     return got
 
 
-def test_concurrent_first_batched_searches_copy_each_leaf_in_once():
-    # A lost check-then-copy would copy a leaf in twice and leave the arena
-    # holding more rows than the reached leaves; one race in a few trials
-    # shows it, so the trial runs on five trees.
+def test_concurrent_batched_searches_write_no_arena():
+    # Threads searching at once, first over hand-built leaves that each hold
+    # an arena of their own, then over the same leaves compacted into the
+    # tree's arena, all get the reference's hits and leave every arena and
+    # slab as it was. The trial runs on five trees.
     rng = np.random.default_rng(192)
     for _ in range(5):
         entries = make_entries(random_descriptors(400, 64, rng))
@@ -371,13 +411,15 @@ def test_concurrent_first_batched_searches_copy_each_leaf_in_once():
         reference = ColumnTree(64, tree.config, root=column_copy(tree.root, 64))
         queries = probe(entries, 64, rng)
         want = reference.search_all_batch(queries, 8)
-        got = concurrent_batched_searches(tree, queries, 8)
-        for hits in got:
-            for name in ("query", "position", "image_id", "distance"):
-                assert getattr(hits, name).tolist() == getattr(want, name).tolist()
-        reached = list(dict.fromkeys(got[0].leaves))
-        assert all(leaf._slab[0] is tree._arena for leaf in reached)
-        assert tree._arena.used == sum(len(leaf) for leaf in reached)
+        for compact in (False, True):
+            if compact:
+                tree._compact()
+            state = arena_state(tree)
+            got = concurrent_batched_searches(tree, queries, 8)
+            for hits in got:
+                for name in ("query", "position", "image_id", "distance"):
+                    assert getattr(hits, name).tolist() == getattr(want, name).tolist()
+            assert_no_arena_written(tree, state)
 
 
 # ----------------------------------------------------------------------
@@ -500,7 +542,7 @@ def test_every_arena_row_is_live_released_or_tail(corpus, setup, seed):
         tree.add(entries[:third])
         assert_rows_partitioned(tree)
         # Leaves rebuilt by hand over the same entries, each in an arena of its
-        # own; a batched search copies the ones it reaches in.
+        # own, which a batched search reads through a copy and leaves as it is.
         for node, parent, side, _ in nodes(tree.root):
             if isinstance(node, LeafNode) and rng.random() < 0.5:
                 replace(tree, parent, side, LeafNode(dim_bits, node.entries))
@@ -511,6 +553,21 @@ def test_every_arena_row_is_live_released_or_tail(corpus, setup, seed):
         tree.add(entries[third:])
         assert_rows_partitioned(tree)
     tree.check_invariants()
+
+
+def test_append_rejects_a_descriptor_of_another_width_and_writes_nothing():
+    # The leaf's slab is full, so a written row would first move it.
+    entries = make_entries(random_descriptors(3, 64, np.random.default_rng(194)))
+    leaf = LeafNode(64, entries)
+    slab, rows, ids = leaf._slab, leaf.packed().copy(), leaf.image_ids().copy()
+    for width in (1, 9):
+        entry = DescriptorEntry(np.full(width, 5, dtype=np.uint8), 0, 1)
+        with pytest.raises(ValueError, match=f"entry \\(0, 1\\) has {width} bytes, expected 8"):
+            leaf.append(entry)
+        assert len(leaf) == 3 and leaf._slab == slab
+        assert leaf.packed().tolist() == rows.tolist()
+        assert leaf.image_ids().tolist() == ids.tolist()
+        assert leaf.entries == entries
 
 
 def test_split_and_grown_slabs_leave_few_rows_unfilled():

@@ -21,6 +21,14 @@ sides get the same descriptors. One JSON line maps each result to the first
 - ``stream_matches``: on seed 7, the (query keypoint, stored image, stored
   keypoint, distance) of each vote's match, which the tie-break among
   equally close stored descriptors picks
+- ``stream_compacted``: on a stream whose 20 shared centres pile rows
+  into a few leaves, so that ``add`` compacts the arena (30 images of 1000,
+  10 loops, gap 5, seed 7; the same tree settings), each image's
+  ``query_image`` votes with their matches, then the final
+  ``serialize_tree``
+- ``shared_root``: that tree's ``search_all_batch`` hits and hit entries
+  for its last image's rows, from a second tree over the same root, then
+  from the first tree, then from the second again
 - ``build_balanced``: ``serialize_tree`` of the balanced build of
   ``gen.lookup(7, 10**5)``'s map at n_max 100
 - ``brute_force``: ``run_protocol_brute_force`` votes on ``exact`` seed 14001
@@ -40,6 +48,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 STREAM_SEEDS = (7, 14001, 14002)
@@ -95,6 +105,8 @@ def results() -> dict[str, dict[str, str] | str]:
                 tree.add(entries)
             out[name][str(seed)] = digest(ht.serialize_tree(tree))
 
+    out.update(compacted_results(gen, ht, config, retrieval))
+
     refs, _ = gen.lookup(7, 10**5, 0)
     built = ht.HammingTree.build_balanced(refs, ht.TreeConfig(tau=TAU, delta_max=0.1, n_max=100),
                                           gen.DIM_BITS)
@@ -113,6 +125,31 @@ def results() -> dict[str, dict[str, str] | str]:
             write_depth_csv(csv, reports)
             out["depth_completeness"][str(seed)] = digest(csv.read_text(encoding="utf-8"))
     return out
+
+
+def compacted_results(gen, ht, config, retrieval) -> dict[str, str]:
+    """The ``stream_compacted`` and ``shared_root`` prefixes."""
+    spec = gen.StreamSpec(images=30, per_image=1000, pool_size=20, loops=10, min_gap=5)
+    images, _ = gen.stream(MATCH_SEED, spec)
+    tree = ht.HammingTree(gen.DIM_BITS, ht.TreeConfig(**config))
+    votes = []
+    for entries in images:
+        scores = ht.query_image(tree, entries, retrieval, collect_matches=True)
+        votes.append([(s.image_id, s.votes, [(m.query.keypoint_id, m.reference.image_id,
+                                               m.reference.keypoint_id, m.distance)
+                                              for m in s.matches]) for s in scores])
+        tree.add(entries)
+    compacted = digest(repr(votes).encode() + ht.serialize_tree(tree))
+
+    queries = np.array([e.descriptor for e in images[-1]], dtype=np.uint8)
+    other = ht.HammingTree(gen.DIM_BITS, ht.TreeConfig(**config), root=tree.root)
+    found = []
+    for searcher in (other, tree, other):
+        hits = searcher.search_all_batch(queries)
+        refs = searcher.hit_references(hits, np.arange(len(hits.query)), queries)
+        found.append([hits.query.tolist(), hits.position.tolist(), hits.image_id.tolist(),
+                      hits.distance.tolist(), [(e.image_id, e.keypoint_id) for e in refs]])
+    return {"stream_compacted": compacted, "shared_root": digest(repr(found))}
 
 
 def main(argv=None) -> int:
