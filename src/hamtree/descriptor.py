@@ -266,7 +266,7 @@ def stack_descriptors(entries: Sequence[DescriptorEntry]) -> np.ndarray:
 def _stack_checked(entries: Sequence[DescriptorEntry], nbytes: int) -> np.ndarray:
     """The entries' descriptors as one (len, nbytes) uint8 matrix.
 
-    Raises ValueError naming the first entry of another width.
+    Raises ValueError naming the first entry of another width or shape.
     """
     if not entries:
         return np.empty((0, nbytes), dtype=np.uint8)
@@ -276,11 +276,12 @@ def _stack_checked(entries: Sequence[DescriptorEntry], nbytes: int) -> np.ndarra
         matrix = None
     if matrix is None or matrix.shape[1:] != (nbytes,):
         for e in entries:
-            width = np.asarray(e.descriptor).shape[0]
-            if width != nbytes:
+            shape = np.shape(e.descriptor)
+            if shape != (nbytes,):
+                size = f"{shape[0]} bytes" if len(shape) == 1 else f"shape {shape}"
                 raise ValueError(
                     f"descriptor of entry ({e.image_id}, {e.keypoint_id}) has "
-                    f"{width} bytes, expected {nbytes}"
+                    f"{size}, expected {nbytes} bytes"
                 )
         raise ValueError(f"descriptors do not stack to an (n, {nbytes}) matrix")
     return matrix

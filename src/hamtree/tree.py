@@ -16,9 +16,10 @@ first ``search_all`` or batched descent (``search_all_batch``, or the
 completeness sweep's ``_leaf_ids``) builds the tree's routing arrays
 (``_Routes``) from the node graph and later ones reuse them; concurrent first
 reads build equal arrays, and whichever is stored last is kept. A split keeps
-the arrays up to date and assigning ``root`` drops them, so a caller that
-edits nodes in place after a range search must assign ``root`` again before
-the next one. And on a tree read from a stream, the first read of a stored
+the arrays up to date. Assigning ``root`` drops them, and with them the
+split bounds (``HammingTree._retry``), so a caller that edits nodes in place
+after a range search or an insert must assign ``root`` again before the next
+one. And on a tree read from a stream, the first read of a stored
 row makes its entry and caches it on the leaf, under a lock, so concurrent
 first reads of one row all return the one cached entry.
 
@@ -125,7 +126,8 @@ class _Arena:
     fit before it takes new rows, and ``spare`` counts their rows. Growing
     leaves ask for size classes (``_slab_size``); built, loaded and
     compacted leaves get slabs of their exact size. Only the tree's writer
-    allocates and releases; a read never does.
+    allocates and releases, never a read, at a leaf's move or split; a leaf
+    dropped from the graph by hand keeps its slab until the next compaction.
     """
 
     __slots__ = ("rows", "ids", "used", "free", "spare")
@@ -181,10 +183,10 @@ class LeafNode:
     an arena (``_Arena``): a tree's leaves share its arena, so a batched scan
     gathers the rows of many leaves with one index. A leaf built by hand
     starts with an arena of its own, which it keeps until the tree's next
-    compaction moves it into the tree's arena. The slab is released when
-    the leaf is dropped. Per-bit set counts are not kept; they are computed
-    from the rows when asked for, which happens only when a split is
-    considered.
+    compaction moves it into the tree's arena. A leaf keeps no writer state:
+    its tree releases the slab and keeps its split bound. Per-bit set counts
+    are not kept; they are computed from the rows when asked for, which
+    happens only when a split is considered.
 
     A leaf read from a tree stream starts with no entry objects: it keeps
     the stream's record rows (image id, keypoint id, x, y) beside its
@@ -196,15 +198,13 @@ class LeafNode:
 
     # ``_entries[i]`` is row i's entry, or None while it is unmade;
     # ``_records`` holds the record rows until every entry is made;
-    # ``_slab`` is the (arena, offset, capacity) of the rows; below ``_retry``
-    # rows a split must refuse, as ``HammingTree._maybe_split`` worked out.
-    __slots__ = ("_entries", "_records", "_slab", "_dim_bits", "_retry")
+    # ``_slab`` is the (arena, offset, capacity) of the rows.
+    __slots__ = ("_entries", "_records", "_slab", "_dim_bits")
 
     def __init__(self, dim_bits: int, entries: Sequence[DescriptorEntry] = ()):
         self._entries: list[DescriptorEntry | None] = list(entries)
         self._records: np.ndarray | None = None
         self._dim_bits = dim_bits
-        self._retry = 0
         rows = _stack_checked(self._entries, descriptor_nbytes(dim_bits))
         self._slab = (_Arena(rows, _image_id_column(self._entries)), 0, len(rows))
 
@@ -222,14 +222,7 @@ class LeafNode:
         leaf._entries = entries
         leaf._records = None
         leaf._slab = slab
-        leaf._retry = 0
         return leaf
-
-    def __del__(self) -> None:
-        # A leaf whose ``__init__`` raised holds no slab.
-        slab = getattr(self, "_slab", None)
-        if slab is not None:
-            slab[0].release(slab[1], slab[2])
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -288,12 +281,15 @@ class LeafNode:
     def append(self, entry: DescriptorEntry) -> None:
         """Add ``entry`` as the last row; a full slab first moves to one of
         the next size class (``_slab_size``). ValueError, with nothing
-        written, for a descriptor of another width."""
+        written, for a descriptor of another width; a full slab checks the
+        whole shape before it moves."""
         arena, offset, capacity = self._slab
         if len(entry.descriptor) != arena.rows.shape[1]:
             _stack_checked([entry], arena.rows.shape[1])  # raises, naming the entry
         n = len(self._entries)
         if n == capacity:
+            if np.ndim(entry.descriptor) != 1:  # of the right length, so 2-D or more
+                _stack_checked([entry], arena.rows.shape[1])
             arena, offset, capacity = self._move(arena, _slab_size(capacity + 1))
         # The id goes first: one outside int64 leaves the entries untouched.
         try:
@@ -338,12 +334,7 @@ def _same_rows(a: LeafNode, b: LeafNode) -> bool:
     keys_b, rows_b = b._row_fields()
     if keys_a != keys_b:
         return False
-    if not keys_a:
-        return True
-    try:
-        return np.array_equal(np.asarray(rows_a), np.asarray(rows_b))
-    except ValueError:  # rows of several shapes do not stack
-        return all(np.array_equal(x, y) for x, y in zip(rows_a, rows_b))
+    return not keys_a or np.array_equal(np.asarray(rows_a), np.asarray(rows_b))
 
 
 def _image_id_error(image_id: int) -> ValueError:
@@ -620,6 +611,18 @@ class DepthStats:
     leaf_size_histogram: dict[int, int] = field(default_factory=dict)
 
 
+def _closest_bit(counts: np.ndarray, total: int, forbidden: set[int]) -> tuple[int, float]:
+    """The bit, outside ``forbidden``, whose mean over ``total`` rows with
+    per-bit set counts ``counts`` lies closest to 0.5, and that distance
+    |0.5 - mean|; infinite when every bit is forbidden. Ties break to the
+    smallest index."""
+    deviation = np.abs(0.5 - counts / float(total))
+    if forbidden:
+        deviation[[k for k in forbidden if 0 <= k < deviation.shape[0]]] = np.inf
+    best = int(np.argmin(deviation))
+    return best, float(deviation[best])
+
+
 def select_split_bit(
     stats: BitStatistics, forbidden: set[int], delta_max: float
 ) -> int | None:
@@ -631,14 +634,8 @@ def select_split_bit(
     """
     if stats.total < 1:
         raise ValueError("statistics cover no descriptors")
-    deviation = np.abs(0.5 - stats.counts / float(stats.total))
-    if forbidden:
-        idx = [k for k in forbidden if 0 <= k < deviation.shape[0]]
-        deviation[idx] = np.inf
-    best = int(np.argmin(deviation))
-    if not np.isfinite(deviation[best]) or deviation[best] > delta_max:
-        return None
-    return best
+    bit, distance = _closest_bit(stats.counts, stats.total, forbidden)
+    return bit if distance <= delta_max else None
 
 
 class HammingTree:
@@ -653,7 +650,9 @@ class HammingTree:
         256-bit setup: tau=25, delta_max=0.1, n_max=10).
     root:
         Optional pre-built node structure; mainly for deserialization and
-        hand-constructed fixtures.
+        hand-constructed fixtures. A tree over another tree's nodes shares
+        their leaves: after a write through one, assign the other's root
+        again before reading through it.
     """
 
     def __init__(
@@ -668,17 +667,13 @@ class HammingTree:
         self.config = config if config is not None else TreeConfig()
         self.config.validate(dim_bits)
         # The arena of the tree's leaves. A given ``root``'s leaves keep
-        # their slabs until a compaction moves them in; a batched search
-        # reads the ones held elsewhere through a copy.
+        # their slabs until a compaction moves them in, and none has a split
+        # bound; a batched search reads leaves held elsewhere by a copy.
         self._arena = _Arena.empty(dim_bits)
         if root is None:
             root = LeafNode._in_slab(dim_bits, (self._arena, 0, 0), [])
         self.root = root
-        self.count = 0
-        for leaf, _ in self._iter_leaves():
-            self.count += len(leaf)
-            # A refused split's bound holds for the config it was made under.
-            leaf._retry = 0
+        self.count = sum(len(leaf) for leaf, _ in self._iter_leaves())
 
     @property
     def root(self) -> TreeNode:
@@ -687,7 +682,10 @@ class HammingTree:
     @root.setter
     def root(self, node: TreeNode) -> None:
         self._root = node
+        # Both are made for the old graph's paths: the routing arrays, and per
+        # leaf the size below which its split must refuse (``_retry_size``).
         self._routes: _Routes | None = None
+        self._retry: dict[LeafNode, float] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -800,11 +798,10 @@ class HammingTree:
 
     def _check_width(self, descriptor: np.ndarray) -> None:
         nbytes = descriptor_nbytes(self.dim_bits)
-        if np.asarray(descriptor).shape[0] != nbytes:
-            raise ValueError(
-                f"query has {np.asarray(descriptor).shape[0]} bytes, tree "
-                f"expects {nbytes}"
-            )
+        shape = np.shape(descriptor)
+        if shape != (nbytes,):
+            size = f"{shape[0]} bytes" if len(shape) == 1 else f"shape {shape}"
+            raise ValueError(f"query has {size}, tree expects {nbytes} bytes")
 
     def _key(self, descriptor: np.ndarray) -> int:
         """The descriptor as an int (``descriptor_to_int``) for ``_descend``;
@@ -956,13 +953,13 @@ class HammingTree:
         leaf.append(entry)
         self.count += 1
         n = len(leaf._entries)
-        if n > self.config.n_max and n >= leaf._retry:
+        if n > self.config.n_max and n >= self._retry.get(leaf, 0):
             path: list[InternalNode] = []
             self._descend(key, path)
             if len(path) < self.config.depth_limit(self.dim_bits):
                 self._maybe_split(leaf, path)
             else:
-                leaf._retry = float("inf")
+                self._retry[leaf] = float("inf")
         arena = leaf._slab[0]
         if arena.spare > _COMPACT_MIN_ROWS and 4 * arena.spare > arena.used:
             self._compact()
@@ -984,12 +981,13 @@ class HammingTree:
 
     def _maybe_split(self, leaf: LeafNode, path: list[InternalNode]) -> None:
         """Split ``leaf``, over n_max at ``path`` above the depth limit, if a
-        bit is admissible; else set its ``_retry``."""
+        bit is admissible, and release its slab if the tree's arena holds
+        it; else keep its bound in ``_retry``."""
         rows = leaf.packed()
         counts, forbidden = _bit_counts(rows, self.dim_bits), {n.bit_index for n in path}
         split = self._split(rows, np.arange(len(rows)), counts, forbidden)
         if split is None:
-            leaf._retry = self._retry_size(counts, len(rows), forbidden)
+            self._retry[leaf] = self._retry_size(counts, len(rows), forbidden)
             return
         # Only a split makes the entries; each child gets the size class of its rows.
         columns = (rows, leaf.image_ids(), np.fromiter(leaf.entries, object, len(rows)))
@@ -1003,28 +1001,28 @@ class HammingTree:
             path[-1].right = node
         else:
             path[-1].left = node
+        # The children copied the rows. A slab of another tree's arena is left
+        # to that tree, which may still hold the leaf as its root.
+        self._retry.pop(leaf, None)
+        arena, offset, capacity = leaf._slab
+        if arena is self._arena:
+            arena.release(offset, capacity)
 
     def _retry_size(self, counts: np.ndarray, n: int, forbidden: set[int]) -> float:
         """The leaf size below which a split refused over ``n`` rows with
         per-bit set counts ``counts`` must refuse again.
 
-        A leaf's path, and with it ``forbidden``, changes only by a split of
-        the leaf. After j more rows, bit k's count lies in [c_k, c_k + j]
-        over n + j rows, so a bit below the admissible band [0.5 - delta,
-        0.5 + delta] can reach it only once j >= ((0.5 - delta) n - c_k) /
-        (0.5 + delta), and a bit above only once j >= (c_k - (0.5 + delta)
-        n) / (0.5 + delta). The size is n plus the least such j, rounded down
-        and less one against float rounding; infinite when every bit is
-        forbidden.
+        A leaf's path, and with it ``forbidden``, changes only by its split
+        or a new root, and both drop the bound. After j more rows, bit k's count lies in [c_k, c_k + j]
+        over n + j rows, so a bit whose mean lies d_k > delta from 0.5 can
+        reach the admissible band [0.5 - delta, 0.5 + delta] only once j >=
+        n (d_k - delta) / (0.5 + delta). The size is n plus that j for the
+        closest allowed bit, rounded down and less one against float
+        rounding; infinite when every bit is forbidden.
         """
-        allowed = np.ones(len(counts), dtype=bool)
-        allowed[[k for k in forbidden if 0 <= k < len(counts)]] = False
-        if not allowed.any():
-            return float("inf")
+        _, d = _closest_bit(counts, n, forbidden)
         delta = self.config.delta_max
-        c = counts[allowed]
-        gap = np.maximum((0.5 - delta) * n - c, c - (0.5 + delta) * n)
-        return n + int(gap.min() / (0.5 + delta)) - 1
+        return d if d == float("inf") else n + int(n * (d - delta) / (0.5 + delta)) - 1
 
     def search_and_insert(
         self, entries: Sequence[DescriptorEntry], tau: int | None = None

@@ -514,11 +514,12 @@ def test_alloc_reuses_a_released_slab_under_one_and_a_half_times_the_request(ops
     assert sorted(free) == sorted(released.items())
 
 
-def assert_rows_partitioned(tree):
+def assert_rows_partitioned(tree, held=()):
     """Every row of the tree's arena lies in exactly one of a live leaf's
-    slab, a released slab and the growth tail."""
+    slab, a released slab, a slab of ``held`` and the growth tail."""
     arena = tree._arena
     live = [leaf._slab[1:] for leaf, _ in tree._iter_leaves() if leaf._slab[0] is arena]
+    live += [slab[1:] for slab in held if slab[0] is arena]
     released = [(offset, size) for size, offsets in arena.free.items() for offset in offsets]
     assert arena.spare == sum(size for _, size in released)
     tail = [(arena.used, len(arena.ids) - arena.used)]
@@ -543,15 +544,18 @@ def test_every_arena_row_is_live_released_or_tail(corpus, setup, seed):
         assert_rows_partitioned(tree)
         # Leaves rebuilt by hand over the same entries, each in an arena of its
         # own, which a batched search reads through a copy and leaves as it is.
+        # The replaced leaves' slabs stay held until a compaction: only the
+        # tree's moves and splits release a slab.
+        held = []
         for node, parent, side, _ in nodes(tree.root):
             if isinstance(node, LeafNode) and rng.random() < 0.5:
                 replace(tree, parent, side, LeafNode(dim_bits, node.entries))
-        del node
+                held.append(node._slab)
         tree.root = tree.root
         tree.search_all_batch(probe(entries[third:], dim_bits, rng))
-        assert_rows_partitioned(tree)
+        assert_rows_partitioned(tree, held)
         tree.add(entries[third:])
-        assert_rows_partitioned(tree)
+        assert_rows_partitioned(tree, held)
     tree.check_invariants()
 
 
@@ -568,6 +572,82 @@ def test_append_rejects_a_descriptor_of_another_width_and_writes_nothing():
         assert leaf.packed().tolist() == rows.tolist()
         assert leaf.image_ids().tolist() == ids.tolist()
         assert leaf.entries == entries
+
+
+def test_a_descriptor_of_another_shape_is_rejected_before_anything_moves():
+    # The leaf's slab is full, so an accepted row would first move it.
+    entries = make_entries(random_descriptors(8, 64, np.random.default_rng(196)))
+    leaf = LeafNode(64, entries)
+    tree = HammingTree(64, TreeConfig(n_max=8), root=leaf)
+    slab, rows = leaf._slab, leaf.packed().copy()
+    two_d = np.zeros((8, 2), dtype=np.uint8)
+    for descriptor in (two_d, np.array(5, dtype=np.uint8)):
+        entry = DescriptorEntry(descriptor, 0, 9)
+        for call in (tree.insert, tree.search_nearest, tree.search_all):
+            with pytest.raises(ValueError, match="tree expects 8 bytes"):
+                call(entry)
+    with pytest.raises(ValueError, match=r"entry \(0, 9\) has shape \(8, 2\), expected 8 bytes"):
+        leaf.append(DescriptorEntry(two_d, 0, 9))
+    assert tree.count == 8 and len(leaf) == 8 and leaf._slab == slab
+    assert leaf.packed().tolist() == rows.tolist() and leaf.entries == entries
+
+
+def test_only_the_writer_releases_slabs_whatever_a_reader_holds():
+    """A reader's ``LeafHits`` keeps the leaves it reached after the writer
+    splits them. Their slabs are released at the split, on the writer's
+    thread, so ``spare`` reads the same with hits held and without."""
+    entries = make_entries(random_descriptors(800, 64, np.random.default_rng(197)))
+    queries = np.array([e.descriptor for e in entries[400:]])
+    threads = []
+    release = _Arena.release
+
+    def spy(arena, offset, capacity):
+        threads.append(threading.get_ident())
+        release(arena, offset, capacity)
+
+    def spare(hold_hits):
+        """``spare`` after the writes, then after the reader let go."""
+        tree = HammingTree(64, TreeConfig(n_max=8, delta_max=0.5))
+        tree.add(entries[:400])
+        searched, written = threading.Event(), threading.Event()
+
+        def read():
+            hits = tree.search_all_batch(queries)
+            searched.set()
+            written.wait()
+            del hits  # the last reference to the leaves split since
+
+        reader = threading.Thread(target=read)
+        if hold_hits:
+            reader.start()
+            searched.wait()
+        tree.add(entries[400:])
+        during = tree._arena.spare
+        written.set()
+        if hold_hits:
+            reader.join()
+        return during, tree._arena.spare
+
+    with mock.patch.object(_Arena, "release", spy):
+        held = spare(True)
+        assert held == spare(False) and held[0] == held[1] > 0
+    assert threads and set(threads) == {threading.get_ident()}
+
+
+def test_a_second_trees_split_releases_nothing_in_the_first_trees_arena():
+    # The second tree splits the first tree's root leaf, which the first
+    # tree still holds; only the first tree's own split of it releases it.
+    entries = make_entries(random_descriptors(60, 64, np.random.default_rng(198)))
+    first = HammingTree(64, TreeConfig(tau=0, n_max=40, delta_max=0.5))
+    first.add(entries[:30])
+    free = {size: list(offsets) for size, offsets in first._arena.free.items()}
+    second = HammingTree(64, TreeConfig(tau=0, n_max=4, delta_max=0.5), root=first.root)
+    second.insert(entries[30])
+    assert isinstance(second.root, InternalNode) and isinstance(first.root, LeafNode)
+    assert first._arena.free == free
+    first.add(entries[31:])
+    assert isinstance(first.root, InternalNode)
+    assert_rows_partitioned(first)
 
 
 def test_split_and_grown_slabs_leave_few_rows_unfilled():

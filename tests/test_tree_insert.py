@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import hamtree.tree
@@ -16,9 +16,10 @@ from hamtree import (
     LeafNode,
     TreeConfig,
     random_descriptors,
+    select_split_bit,
     serialize_tree,
 )
-from hamtree.descriptor import flip_bits
+from hamtree.descriptor import BitStatistics, flip_bits
 
 from conftest import entries_from_bits, make_entries
 from test_tree_build import assert_tree_invariants, walk_leaves
@@ -295,3 +296,58 @@ def test_a_tree_over_another_trees_nodes_drops_their_refused_split_bounds():
     loose = HammingTree(256, TreeConfig(n_max=4, delta_max=0.5), root=strict.root)
     loose.insert(entries[20])
     assert isinstance(loose.root, InternalNode)
+
+
+def test_a_second_tree_over_a_trees_root_keeps_the_first_trees_split_bounds():
+    # Twenty copies of one row refuse every split at delta_max 0, and the
+    # bound then skips every try below 33 rows.
+    entries = make_entries(np.tile(random_descriptors(1, 256, np.random.default_rng(59)), (30, 1)))
+    config = TreeConfig(n_max=4, delta_max=0.0)
+    tree = HammingTree(256, config)
+    tree.add(entries[:20])
+    HammingTree(256, config, root=tree.root)
+    assert counted_inserts(tree, entries[20:]) == 0
+
+
+def test_a_depth_capped_leaf_made_the_root_splits_on_its_next_insert():
+    # At max_depth 1 the children of the first split lie at the cap and are
+    # never tried again; made the root, a child lies one level above it.
+    rng = np.random.default_rng(60)
+    tree = HammingTree(64, TreeConfig(n_max=4, delta_max=0.5, max_depth=1))
+    tree.add(make_entries(random_descriptors(40, 64, rng)))
+    assert isinstance(tree.root, InternalNode) and len(tree.root.left) > 4
+    tree.root = tree.root.left
+    tree.insert(make_entries(random_descriptors(1, 64, rng), start_kp=40)[0])
+    assert isinstance(tree.root, InternalNode)
+
+
+@st.composite
+def refusals(draw):
+    """(counts, n, forbidden, delta_max) of a split that ``select_split_bit``
+    refuses: counts near 0 or n, or anywhere, at widths of 8 to 64 bits."""
+    dim_bits = draw(st.sampled_from([8, 16, 64]))
+    n = draw(st.integers(1, 120))
+    count = st.one_of(st.integers(0, n // 4), st.integers(n - n // 4, n), st.integers(0, n))
+    counts = np.array(draw(st.lists(count, min_size=dim_bits, max_size=dim_bits)), dtype=np.int32)
+    forbidden = set(draw(st.lists(st.integers(0, dim_bits - 1), max_size=dim_bits)))
+    delta = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]) | st.floats(0.0, 0.5))
+    assume(select_split_bit(BitStatistics(counts, n), forbidden, delta) is None)
+    return counts, n, forbidden, delta
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(refusals())
+def test_a_refused_split_bound_is_no_later_than_the_first_size_that_could_split(refusal):
+    counts, n, forbidden, delta = refusal
+    bound = HammingTree(len(counts), TreeConfig(tau=0, delta_max=delta))._retry_size(
+        counts, n, forbidden)
+    allowed = counts[[k for k in range(len(counts)) if k not in forbidden]]
+    if not allowed.size:
+        assert bound == float("inf")
+        return
+    # After j more rows a bit's count is any of c .. c + j over n + j rows;
+    # the first j at which select_split_bit's float test takes one of them.
+    j = 0
+    while not (np.abs(0.5 - (allowed[:, None] + np.arange(j + 1)) / float(n + j)) <= delta).any():
+        j += 1
+    assert bound <= n + j

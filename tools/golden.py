@@ -29,6 +29,10 @@ sides get the same descriptors. One JSON line maps each result to the first
 - ``shared_root``: that tree's ``search_all_batch`` hits and hit entries
   for its last image's rows, from a second tree over the same root, then
   from the first tree, then from the second again
+- ``shared_root_insert``: ``serialize_tree`` of that first tree after it adds
+  the stream's first 5 images again, with the second tree still over its
+  root; the rows are copies of stored ones, so splits refuse and leave
+  bounds
 - ``build_balanced``: ``serialize_tree`` of the balanced build of
   ``gen.lookup(7, 10**5)``'s map at n_max 100
 - ``brute_force``: ``run_protocol_brute_force`` votes on ``exact`` seed 14001
@@ -128,7 +132,8 @@ def results() -> dict[str, dict[str, str] | str]:
 
 
 def compacted_results(gen, ht, config, retrieval) -> dict[str, str]:
-    """The ``stream_compacted`` and ``shared_root`` prefixes."""
+    """The ``stream_compacted``, ``shared_root`` and ``shared_root_insert``
+    prefixes."""
     spec = gen.StreamSpec(images=30, per_image=1000, pool_size=20, loops=10, min_gap=5)
     images, _ = gen.stream(MATCH_SEED, spec)
     tree = ht.HammingTree(gen.DIM_BITS, ht.TreeConfig(**config))
@@ -149,7 +154,9 @@ def compacted_results(gen, ht, config, retrieval) -> dict[str, str]:
         refs = searcher.hit_references(hits, np.arange(len(hits.query)), queries)
         found.append([hits.query.tolist(), hits.position.tolist(), hits.image_id.tolist(),
                       hits.distance.tolist(), [(e.image_id, e.keypoint_id) for e in refs]])
-    return {"stream_compacted": compacted, "shared_root": digest(repr(found))}
+    tree.add([entry for entries in images[:5] for entry in entries])
+    return {"stream_compacted": compacted, "shared_root": digest(repr(found)),
+            "shared_root_insert": digest(ht.serialize_tree(tree))}
 
 
 def main(argv=None) -> int:
